@@ -19,7 +19,7 @@ from .groups import (
     real_spectrum,
 )
 from .posdef import autocorrelation, is_posdef, periodize, schur_product
-from .lp import LpProblem, LpSolution, SolverFailure, solve
+from .lp import LpProblem, LpSolution, SolverFailure, check_certificate, solve
 from .extremal import (
     ExtremalResult,
     delsarte,
@@ -69,7 +69,7 @@ __all__ = [
     "Group", "GroupFunction", "SymSet", "make_group", "dft", "inverse_dft",
     "real_spectrum", "difference_set",
     "is_posdef", "autocorrelation", "schur_product", "periodize",
-    "LpProblem", "LpSolution", "SolverFailure", "solve",
+    "LpProblem", "LpSolution", "SolverFailure", "check_certificate", "solve",
     "ExtremalResult", "two_set_constant", "turan", "delsarte",
     "verify_tile_theorem", "verify_main_theorem", "verify_homomorphism_bound",
     "verify_product_bound", "verify_automorphism_invariance",

@@ -156,12 +156,15 @@ def _cmd_constant(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    report = suite(args.fuzz, args.seed, args.max_n) if args.max_n else suite(args.fuzz, args.seed)
+    report = suite(args.fuzz, args.seed) if args.max_n is None else \
+        suite(args.fuzz, args.seed, args.max_n)
     _emit(f"verify {args.suite}", report, seed=args.seed)
     return 0 if report["pass"] else 2
 
 
 def _cmd_radial(args) -> int:
+    if not args.step > 0:
+        raise UsageError(f"--step must be positive, got {args.step}")
     quad = Quadrature(t_max=args.quad_t_max)
     if args.table == "yudin":
         ts = np.arange(0.0, args.t_max + args.step / 2, args.step)

@@ -72,6 +72,14 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _check_sizes(count: int, max_n: int, smallest: int) -> None:
+    """Reject a negative instance count or a max_n below the suite's smallest group."""
+    if count < 0:
+        raise ValueError(f"instance count must be nonnegative, got {count}")
+    if max_n < smallest:
+        raise ValueError(f"max_n must be at least {smallest} for this suite, got {max_n}")
+
+
 def _set_json(group: Group, mask: np.ndarray) -> list:
     return SymSet(group, mask.copy()).elements()
 
@@ -94,6 +102,7 @@ def tile_instance(rng: SplitMix64, max_n: int) -> dict:
 
 
 def run_tile_suite(count: int, seed: int, max_n: int = 40) -> dict:
+    _check_sizes(count, max_n, 2)
     rng = SplitMix64(seed)
     instances = []
     failures = 0
@@ -139,6 +148,7 @@ def main_instance(rng: SplitMix64, max_n: int) -> dict:
 
 
 def run_main_suite(count: int, seed: int, max_n: int = 40) -> dict:
+    _check_sizes(count, max_n, 4)
     rng = SplitMix64(seed)
     instances = []
     failures = 0
@@ -171,6 +181,7 @@ def hom_instance(rng: SplitMix64, max_n: int) -> dict:
 
 
 def run_hom_suite(count: int, seed: int, max_n: int = 24) -> dict:
+    _check_sizes(count, max_n, 4)
     rng = SplitMix64(seed)
     instances = []
     failures = 0
@@ -186,6 +197,7 @@ def run_hom_suite(count: int, seed: int, max_n: int = 24) -> dict:
 
 
 def run_product_suite(count: int, seed: int, max_n: int = 7) -> dict:
+    _check_sizes(count, max_n, 2)
     rng = SplitMix64(seed)
     instances = []
     failures = 0
@@ -207,6 +219,7 @@ def run_product_suite(count: int, seed: int, max_n: int = 7) -> dict:
 
 
 def run_auto_suite(count: int, seed: int, max_n: int = 30) -> dict:
+    _check_sizes(count, max_n, 3)
     rng = SplitMix64(seed)
     instances = []
     failures = 0
@@ -226,6 +239,7 @@ def run_auto_suite(count: int, seed: int, max_n: int = 30) -> dict:
 
 
 def run_density_suite(count: int, seed: int, max_n: int = 40) -> dict:
+    _check_sizes(count, max_n, 2)
     rng = SplitMix64(seed)
     instances = []
     failures = 0
@@ -251,6 +265,7 @@ def run_density_suite(count: int, seed: int, max_n: int = 40) -> dict:
 
 def run_ineq_suite(count: int, seed: int, max_n: int = 20) -> dict:
     """Monotonicity, T <= D, value <= m_G(Omega+), autocorrelation lower bound."""
+    _check_sizes(count, max_n, 2)
     rng = SplitMix64(seed)
     instances = []
     failures = 0

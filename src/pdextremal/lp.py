@@ -1,18 +1,11 @@
-"""Self-contained dense LP solver: two-phase revised simplex with a
-lexicographic anti-cycling ratio test.
+"""Dense LPs solved by HiGHS, accepted only behind our own certificate check.
 
-Maximizes c @ x subject to row constraints with senses "<=", "=", ">=" and
-per-variable bounds (infinite bounds allowed).  Free variables are handled
-natively: a nonbasic free variable sits at 0 and may enter in either
-direction, and once basic it never blocks the ratio test.  (Splitting free
-variables into positive parts was tried first and discarded: the mirrored
-column pairs produce degenerate vertex fans whose pivots collapse
-numerically.  Likewise, Bland's rule alone stalled for tens of thousands of
-iterations on the massively degenerate spectral LPs; the lexicographic rule
-terminates them outright.)  All arithmetic is double precision with a 1e-9
-pivot tolerance; entering prefers large reduced costs but skips columns that
-would force a pathologically small pivot; the basis inverse is refactorized
-aggressively.  Deterministic throughout.
+Maximizes c @ x subject to rows with senses "<=", "=", ">=" and per-variable
+bounds (infinite bounds allowed), using the serial dual simplex of HiGHS
+(Huangfu and Hall, Math. Prog. Comp. 10, 2018) that ships inside scipy,
+single-threaded with a fixed seed so results are deterministic.  An optimal
+answer must pass ``check_certificate``, which recomputes the primal residual,
+the dual signs, dual feasibility and the duality gap from the original data.
 """
 
 from __future__ import annotations
@@ -21,11 +14,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+# The pybind11 core directly, not linprog: linprog rebuilds an options
+# manager for each option on every call, which makes the thousands of tiny
+# LPs of a verification suite (median 3 rows x 6 columns) about 3x slower.
+from scipy.optimize._highspy import _core as highs
 
-PIVOT_TOL = 1e-9
-COST_TOL = 1e-9
-FEAS_TOL = 1e-7
-REFACTOR_EVERY = 25  # eta-chain drift grows fast on degenerate pivot runs
+_HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1,  # dual
+                  "threads": 1, "random_seed": 0,
+                  # when presolve cannot tell infeasible from unbounded, HiGHS
+                  # re-solves without it instead of reporting the ambiguity
+                  "allow_unbounded_or_infeasible": False}
+_STATUS = {highs.HighsModelStatus.kInfeasible: ("infeasible", np.nan),
+           highs.HighsModelStatus.kUnbounded: ("unbounded", np.inf)}
 
 
 class SolverFailure(RuntimeError):
@@ -73,6 +73,13 @@ class LpProblem:
     def nrows(self) -> int:
         return self.a.shape[0]
 
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row activity bounds (lower, upper) encoding the senses."""
+        senses = np.asarray(self.senses)
+        lo = np.where(senses == "<=", -np.inf, self.b)
+        hi = np.where(senses == ">=", np.inf, self.b)
+        return lo, hi
+
 
 @dataclass
 class LpSolution:
@@ -85,303 +92,80 @@ class LpSolution:
     iterations: int = 0
 
 
-class _Simplex:
-    """Revised simplex in equality form: min cost @ y, eq_a @ y = eq_b,
-    y_j >= 0 for sign-constrained columns, y_j free otherwise."""
+def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Check that x and row duals y prove each other optimal.
 
-    def __init__(self, eq_a: np.ndarray, eq_b: np.ndarray, is_free: np.ndarray):
-        self.a = eq_a
-        self.b = eq_b
-        self.m, self.ncols = eq_a.shape
-        self.is_free = is_free
-        self.basis: list[int] = []
-        self.b_inv = np.eye(self.m)
-        self.iterations = 0
-        self.blocked: set[int] = set()  # columns barred from entering (artificials)
+    Row duals follow the maximization convention: y >= 0 on "<=" rows,
+    y <= 0 on ">=" rows, free on "=" rows.  Returns (max_violation,
+    dual_objective); raises SolverFailure naming every check that fails.
+    """
+    p = problem
+    row_lo, row_hi = p.row_bounds()
+    ax = p.a @ x
+    residual = max(0.0, *(float(np.max(v, initial=0.0)) for v in
+                          (ax - row_hi, row_lo - ax, p.lower - x, x - p.upper)))
+    senses = np.asarray(p.senses)
+    sign_error = float(np.max(np.where(senses == "<=", -y, np.where(senses == ">=", y, 0.0)),
+                              initial=0.0))
+    # each reduced cost is paid at the bound it pushes toward; an infinite
+    # such bound makes the dual infeasible by |d_j|
+    d = p.c - p.a.T @ y
+    bound = np.where(d > 0, p.upper, p.lower)
+    finite = np.isfinite(bound)
+    dual_infeasibility = float(np.max(np.abs(d[~finite]), initial=0.0))
+    dual_objective = float(p.b @ y + d[finite] @ bound[finite])
+    objective = float(p.c @ x)
+    gap = abs(objective - dual_objective)
 
-    def refactor(self):
-        if self.m == 0:
-            return
-        basis_mat = self.a[:, self.basis]
-        try:
-            self.b_inv = np.linalg.inv(basis_mat)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular basis during refactorization: {exc}") from exc
+    dual_tol = 1e-9 * (1.0 + float(np.max(np.abs(p.c), initial=0.0)))
+    checks = (
+        ("residual", residual, 1e-9 * (1.0 + float(np.max(np.abs(p.b), initial=0.0)))),
+        ("dual sign", sign_error, dual_tol),
+        ("dual infeasibility", dual_infeasibility, dual_tol),
+        ("duality gap", gap, 1e-8 * (1.0 + abs(objective))),
+    )
+    failed = [f"{name} {value:.3e}" for name, value, tol in checks if not value <= tol]
+    if failed:
+        raise SolverFailure("optimality certificate failed: " + ", ".join(failed))
+    return residual, dual_objective
 
-    def _lex_leave(self, rows: np.ndarray, d: np.ndarray, xb: np.ndarray) -> int:
-        """Lexicographic ratio test: among rows minimizing xb/d, refine by the
-        columns of the basis inverse until unique.  Keeps every basis row
-        lexicographically positive, which rules out cycling for any entering
-        rule, with no numerical perturbation of the data."""
-        ratios = xb[rows] / d[rows]
-        theta = float(np.min(ratios))
-        cand = rows[np.flatnonzero(ratios <= theta + 1e-11 * (1.0 + abs(theta)))]
-        col = 0
-        while cand.size > 1 and col < self.m:
-            vals = self.b_inv[cand, col] / d[cand]
-            low = float(np.min(vals))
-            cand = cand[np.flatnonzero(vals <= low + 1e-11 * (1.0 + abs(low)))]
-            col += 1
-        return int(cand[0])
 
-    def run(self, cost: np.ndarray, max_iter: int) -> str:
-        """Returns 'optimal' or 'unbounded'; raises SolverFailure on breakdown."""
-        pivots_since_refactor = 0
-        growth = 1.0  # accumulated eta growth factor since last refactor
-        # refactorize aggressively on small bases (cheap, makes every computed
-        # direction trustworthy); larger systems rely on the growth guard
-        cadence = 1 if self.m <= 80 else (8 if self.m <= 320 else REFACTOR_EVERY)
-        while True:
-            if self.iterations >= max_iter:
-                raise SolverFailure(f"iteration limit {max_iter} exceeded")
-            self.iterations += 1
-            if pivots_since_refactor > 0 and (
-                pivots_since_refactor >= cadence or growth > 1e4
-            ):
-                self.refactor()
-                pivots_since_refactor = 0
-                growth = 1.0
-
-            cb = cost[self.basis] if self.basis else np.zeros(0)
-            y = cb @ self.b_inv
-            reduced = cost - y @ self.a
-            reduced[self.basis] = 0.0
-            for j in self.blocked:
-                reduced[j] = 0.0
-            down_ok = self.is_free & (reduced > COST_TOL)  # free vars may decrease
-            eligible = (reduced < -COST_TOL) | down_ok
-            candidates = np.flatnonzero(eligible)
-            if candidates.size == 0:
-                return "optimal"
-            rank = np.argsort(-np.abs(reduced[candidates]), kind="stable")
-            ordered = [int(candidates[r]) for r in rank[:8]]
-
-            xb = self.b_inv @ self.b
-            can_block = np.fromiter(
-                (not self.is_free[self.basis[i]] for i in range(self.m)),
-                dtype=bool, count=self.m,
-            )
-
-            # price candidates in order; prefer the first whose lexicographic
-            # ratio test yields a sound pivot, keeping the best fallback
-            chosen = None
-            fallback = None
-            for enter in ordered:
-                direction = -1.0 if reduced[enter] > 0 else 1.0
-                d_raw = self.b_inv @ self.a[:, enter]
-                d = direction * d_raw
-                rows = np.flatnonzero(can_block & (d > PIVOT_TOL))
-                if rows.size == 0:
-                    return "unbounded"
-                leave_row = self._lex_leave(rows, d, xb)
-                piv = d_raw[leave_row]
-                pick = (enter, leave_row, piv, d_raw)
-                if fallback is None or abs(piv) > abs(fallback[2]):
-                    fallback = pick
-                if abs(piv) >= 1e-6:
-                    chosen = pick
-                    break
-            if chosen is None:
-                chosen = fallback
-            enter, leave_row, piv, d_raw = chosen
-
-            if abs(piv) < 1e-3 and pivots_since_refactor > 0:
-                # small pivots are trusted only on a fresh factorization: stale
-                # eta chains turn noise into "pivots" and corrupt the basis
-                self.refactor()
-                pivots_since_refactor = 0
-                growth = 1.0
-                continue
-
-            self.b_inv[leave_row, :] /= piv
-            for i in range(self.m):
-                if i != leave_row and d_raw[i] != 0.0:
-                    self.b_inv[i, :] -= d_raw[i] * self.b_inv[leave_row, :]
-            self.basis[leave_row] = enter
-            pivots_since_refactor += 1
-            growth *= max(1.0, float(np.max(np.abs(d_raw))) / abs(piv))
-
-    def solution(self) -> np.ndarray:
-        y = np.zeros(self.ncols)
-        if self.basis:
-            y[self.basis] = self.b_inv @ self.b
-        return y
+def _highs_lp(p: LpProblem):
+    m, n = p.nrows, p.nvars
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = -p.c  # HiGHS minimizes
+    lp.col_lower_, lp.col_upper_ = p.lower, p.upper
+    lp.row_lower_, lp.row_upper_ = p.row_bounds()
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_ = np.arange(m + 1) * n
+    matrix.index_ = np.tile(np.arange(n), m)
+    matrix.value_ = p.a.ravel()
+    return lp
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the LP; optimal solutions carry row duals and a verified gap."""
-    p = problem
-    n, m = p.nvars, p.nrows
+    """Solve the LP; optimal solutions carry row duals and a checked certificate."""
+    h = highs._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    h.passModel(_highs_lp(problem))
+    h.run()
+    status = h.getModelStatus()
+    iterations = int(h.getInfo().simplex_iteration_count)
+    if status in _STATUS:
+        name, value = _STATUS[status]
+        return LpSolution(name, None, value, None, iterations=iterations)
+    # with no columns HiGHS reports an empty model without reading the rows;
+    # the certificate check below still does
+    if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
+        raise SolverFailure(f"HiGHS ended with status {h.modelStatusToString(status)}")
 
-    if np.any(p.lower > p.upper):
-        return LpSolution("infeasible", None, np.nan, None)
-
-    # --- variable transform: shift/mirror finite bounds; free stays free ----
-    shift = np.zeros(n)
-    sign = np.ones(n)
-    free = np.zeros(n, dtype=bool)
-    bound_rows: list[tuple[int, float]] = []  # (var, span) for two-sided vars
-    for j in range(n):
-        lo, hi = p.lower[j], p.upper[j]
-        if np.isfinite(lo):
-            shift[j] = lo
-            if np.isfinite(hi):
-                bound_rows.append((j, hi - lo))
-        elif np.isfinite(hi):
-            shift[j] = hi
-            sign[j] = -1.0
-        else:
-            free[j] = True
-
-    a_rows = p.a * sign[None, :]
-    b_rows = p.b - p.a @ shift
-    senses = list(p.senses)
-    for (j, span) in bound_rows:
-        row = np.zeros((1, n))
-        row[0, j] = sign[j]
-        a_rows = np.vstack([a_rows, row])
-        b_rows = np.append(b_rows, span)
-        senses.append("<=")
-    m_total = a_rows.shape[0]
-
-    c_y = p.c * sign
-    obj_shift = float(p.c @ shift)
-
-    # --- senses: fold ">=" into "<=" with a recorded dual sign --------------
-    dual_sign = np.ones(m_total)
-    for i in range(m_total):
-        if senses[i] == ">=":
-            a_rows[i] *= -1.0
-            b_rows[i] *= -1.0
-            dual_sign[i] = -1.0
-            senses[i] = "<="
-
-    # --- slacks, positive rhs, artificials -----------------------------------
-    n_slack = sum(1 for s in senses if s == "<=")
-    eq_a = np.zeros((m_total, n + n_slack))
-    eq_a[:, :n] = a_rows
-    slack_col = {}
-    k = n
-    for i in range(m_total):
-        if senses[i] == "<=":
-            eq_a[i, k] = 1.0
-            slack_col[i] = k
-            k += 1
-    eq_b = b_rows.copy()
-    row_flip = np.ones(m_total)
-    for i in range(m_total):
-        if eq_b[i] < 0:
-            eq_a[i] *= -1.0
-            eq_b[i] *= -1.0
-            row_flip[i] = -1.0
-
-    basis = []
-    art_cols = []
-    for i in range(m_total):
-        if i in slack_col and row_flip[i] > 0:
-            basis.append(slack_col[i])
-        else:
-            art_cols.append(i)
-            basis.append(eq_a.shape[1] + len(art_cols) - 1)
-    if art_cols:
-        art_mat = np.zeros((m_total, len(art_cols)))
-        for idx, i in enumerate(art_cols):
-            art_mat[i, idx] = 1.0
-        eq_a = np.hstack([eq_a, art_mat])
-    n_real = n + n_slack
-
-    is_free = np.zeros(eq_a.shape[1], dtype=bool)
-    is_free[:n] = free
-
-    sx = _Simplex(eq_a, eq_b, is_free)
-    sx.basis = basis
-    sx.refactor()
-    max_iter = 200 * (m_total + eq_a.shape[1]) + 1000
-
-    scale = 1.0 + float(np.max(np.abs(eq_b), initial=0.0))
-    kept_rows = np.arange(m_total)
-    if art_cols:
-        cost1 = np.zeros(eq_a.shape[1])
-        cost1[n_real:] = 1.0
-        status = sx.run(cost1, max_iter)
-        if status != "optimal":
-            raise SolverFailure("phase-1 problem reported unbounded")
-        y1 = sx.solution()
-        if float(cost1 @ y1) > FEAS_TOL * scale:
-            return LpSolution("infeasible", None, np.nan, None, iterations=sx.iterations)
-        # drive artificials out of the basis where possible
-        for r in range(m_total):
-            if sx.basis[r] >= n_real:
-                basic = set(sx.basis)
-                row = sx.b_inv[r, :] @ eq_a[:, :n_real]
-                usable = [j for j in np.flatnonzero(np.abs(row) > 1e-7) if j not in basic]
-                if usable:
-                    j = int(usable[0])
-                    d = sx.b_inv @ eq_a[:, j]
-                    sx.b_inv[r, :] /= d[r]
-                    for i in range(m_total):
-                        if i != r and d[i] != 0.0:
-                            sx.b_inv[i, :] -= d[i] * sx.b_inv[r, :]
-                    sx.basis[r] = j
-        # rows whose artificial could not leave are redundant (their basic
-        # artificial sits at 0 and the row is spanned by the others): drop
-        # them, or phase 2 could silently push the artificial positive again
-        redundant = [r for r in range(m_total) if sx.basis[r] >= n_real]
-        if redundant:
-            kept_rows = np.asarray([r for r in range(m_total) if r not in set(redundant)])
-            eq_a = eq_a[kept_rows]
-            eq_b = eq_b[kept_rows]
-            basis = [sx.basis[r] for r in kept_rows]
-            iterations_so_far = sx.iterations
-            sx = _Simplex(eq_a, eq_b, is_free)
-            sx.basis = basis
-            sx.iterations = iterations_so_far
-        sx.refactor()
-        sx.blocked = set(range(n_real, eq_a.shape[1]))
-
-    cost2 = np.zeros(eq_a.shape[1])
-    cost2[:n] = -c_y
-    status = sx.run(cost2, max_iter)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, np.inf, None, iterations=sx.iterations)
-
-    y = sx.solution()
-    x = shift + sign * y[:n]
-    objective = float(p.c @ x)
-
-    # duals of the equality system, mapped back through all sign changes;
-    # rows dropped as redundant carry dual 0
-    cb = cost2[sx.basis] if sx.basis else np.zeros(0)
-    y_dual = cb @ sx.b_inv
-    y_dual_full = np.zeros(m_total)
-    y_dual_full[kept_rows] = y_dual
-    dual_full = -(y_dual_full * row_flip) * dual_sign
-    dual = dual_full[: p.nrows].copy()
-    # min-problem strong duality: y_dual @ eq_b equals the phase-2 optimum
-    dual_objective = -float(y_dual @ eq_b) + obj_shift
-
-    # feasibility of the returned point against the original rows and bounds
-    resid = 0.0
-    ax = p.a @ x
-    for i, s in enumerate(p.senses):
-        if s == "<=":
-            resid = max(resid, float(ax[i] - p.b[i]))
-        elif s == ">=":
-            resid = max(resid, float(p.b[i] - ax[i]))
-        else:
-            resid = max(resid, abs(float(ax[i] - p.b[i])))
-    if n:
-        resid = max(resid, float(np.max(p.lower - x, initial=0.0)))
-        resid = max(resid, float(np.max(x - p.upper, initial=0.0)))
-
-    gap = abs(objective - dual_objective)
-    if resid > 1e-9 * (1.0 + float(np.max(np.abs(p.b), initial=0.0))) or gap > 1e-8 * (1.0 + abs(objective)):
-        raise SolverFailure(
-            f"optimality certificate failed: residual {resid:.3e}, duality gap {gap:.3e}"
-        )
-    return LpSolution(
-        "optimal", x, objective, dual,
-        dual_objective=dual_objective,
-        max_violation=resid,
-        iterations=sx.iterations,
-    )
+    solution = h.getSolution()
+    x = np.asarray(solution.col_value, dtype=np.float64)
+    y = -np.asarray(solution.row_dual, dtype=np.float64)  # duals of the minimization
+    max_violation, dual_objective = check_certificate(problem, x, y)
+    return LpSolution("optimal", x, float(problem.c @ x), y, dual_objective=dual_objective,
+                      max_violation=max_violation, iterations=iterations)

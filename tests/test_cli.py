@@ -159,3 +159,35 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "yudin_hat_grid", boom)
     assert cli.main(["radial", "hankel", "--d", "1", "--s-max", "1", "--step", "0.5"]) == 3
+
+
+def test_verify_honours_smallest_max_n(capsys):
+    code, out = run(capsys, ["verify", "tile", "--fuzz", "5", "--max-n", "2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["max_n"] == 2
+    assert all(inst["n"] == 2 for inst in result["instances"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hom", "--max-n", "3"],  # no composite order to draw from
+    ["verify", "tile", "--max-n", "0"],
+    ["verify", "main", "--max-n", "2"],
+    ["verify", "ineq", "--fuzz", "-5"],
+])
+def test_verify_rejects_bad_sizes(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1  # a usage error, not a verification failure
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("table", ["yudin", "hankel", "gorbachev-h", "ball-transform"])
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_radial_rejects_nonpositive_step(capsys, table, step):
+    code = cli.main(["radial", table, "--step", step])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: --step must be positive")

@@ -230,7 +230,7 @@ def test_measure_covariance():
 def test_two_set_matches_independent_formulation():
     # independent oracle: function-side LP (values on elements as variables,
     # spectrum rows as constraints) solved by scipy, against the package's
-    # spectral-side LP solved by the built-in simplex
+    # spectral-side LP solved through pdextremal.lp
     from scipy.optimize import linprog
 
     rng = SplitMix64(2718)

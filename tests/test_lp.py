@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pdextremal.lp import LpProblem, solve
+from pdextremal.lp import LpProblem, SolverFailure, check_certificate, solve
 
 
 def box(c, a, b, senses, lower=None, upper=None):
@@ -26,6 +26,20 @@ def test_infeasible_bounds():
 def test_unbounded_ray():
     p = box([1], np.zeros((0, 1)), np.zeros(0), [])
     assert solve(p).status == "unbounded"
+
+
+def test_statuses_exact_where_presolve_is_ambiguous():
+    # HiGHS's presolve alone reports both as "unbounded or infeasible"
+    assert solve(box([1], [[1]], [2], [">="])).status == "unbounded"
+    p = box([1], [[2], [0]], [-2, -1], [">=", "="], lower=[-np.inf], upper=[np.inf])
+    assert solve(p).status == "infeasible"
+
+
+def test_no_columns():
+    sol = solve(box(np.zeros(0), np.zeros((1, 0)), [1], ["<="]))
+    assert sol.status == "optimal" and sol.objective_value == 0.0
+    with pytest.raises(SolverFailure, match="residual"):
+        solve(box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="]))
 
 
 def test_equality_and_free_variables():
@@ -133,7 +147,7 @@ def test_random_instances_match_scipy():
 
 
 def test_degenerate_problem_terminates():
-    # classic cycling-prone instance (Beale); the lexicographic rule must terminate it
+    # classic cycling-prone instance (Beale), kept as a degenerate-LP regression test
     c = np.array([0.75, -150, 0.02, -6])
     a = np.array([
         [0.25, -60, -0.04, 9],
@@ -146,3 +160,49 @@ def test_degenerate_problem_terminates():
     assert sol.status == "optimal"
     ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * 4, method="highs")
     assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def _cases():
+    yield box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
+    yield box([1, -1], [[1, 1], [1, 0]], [3, 2], ["=", "<="],
+              lower=[0, -np.inf], upper=[np.inf, np.inf])
+    yield box([-1], [[1]], [2], [">="], lower=[0], upper=[5])
+    yield box([1], [[1]], [1], ["<="])
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        yield _random_instance(rng)
+
+
+def test_certificate_accepts_solver_answers():
+    for p in _cases():
+        sol = solve(p)
+        if sol.status != "optimal":
+            continue
+        violation, dual_objective = check_certificate(p, sol.x, sol.dual)
+        assert violation == sol.max_violation
+        assert dual_objective == sol.dual_objective
+
+
+def test_certificate_rejects_perturbed_primal():
+    p = box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
+    sol = solve(p)
+    with pytest.raises(SolverFailure, match="residual"):
+        check_certificate(p, sol.x + np.array([1e-6, 0.0]), sol.dual)
+
+
+def test_certificate_rejects_wrong_dual_sign():
+    # maximize x subject to x <= 1 twice: y = (2, -1) prices x exactly and
+    # has no gap, but a "<=" row may not carry a negative dual
+    p = box([1], [[1], [1]], [1, 1], ["<=", "<="])
+    with pytest.raises(SolverFailure, match="dual sign") as exc:
+        check_certificate(p, np.array([1.0]), np.array([2.0, -1.0]))
+    assert "gap" not in str(exc.value)
+
+
+def test_certificate_rejects_positive_reduced_cost_without_upper_bound():
+    # maximize x1 subject to x1 <= 1, x2 = 0; y = (1, -1) leaves reduced cost
+    # +1 on x2, which has no upper bound, so the dual proves nothing
+    p = box([1, 0], [[1, 0], [0, 1]], [1, 0], ["<=", "="])
+    with pytest.raises(SolverFailure, match="dual infeasibility") as exc:
+        check_certificate(p, np.array([1.0, 0.0]), np.array([1.0, -1.0]))
+    assert "gap" not in str(exc.value) and "sign" not in str(exc.value)
