@@ -45,7 +45,6 @@ from .density import (
 )
 from .radial import (
     QuadratureError,
-    RadialSpec,
     ball_char_transform,
     bessel_first_zero,
     bessel_j,
@@ -76,7 +75,7 @@ __all__ = [
     "PeriodicSet", "packs_strict", "covers", "tiles_strict", "packing_type",
     "auud_finite", "auud_periodic", "max_density_search", "density_bounds_check",
     "integer_shadow",
-    "RadialSpec", "QuadratureError", "bessel_j", "bessel_first_zero", "yudin_Y",
+    "QuadratureError", "bessel_j", "bessel_first_zero", "yudin_Y",
     "yudin_sign_check", "hankel_transform", "ball_char_transform",
     "sphere_transform", "gorbachev_H",
     "Trinomial", "critical_coeffs", "is_nonneg", "optimize_trinomial",

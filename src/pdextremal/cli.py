@@ -40,7 +40,12 @@ from .radial import (
     yudin_hat_grid,
     yudin_sign_check,
 )
-from .trinomial import example51_comparison, example51_lower_bound, optimize_trinomial
+from .trinomial import (
+    Trinomial,
+    example51_comparison,
+    example51_lower_bound,
+    optimize_trinomial,
+)
 
 TOLERANCES = {
     "value": 1e-8,
@@ -102,7 +107,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
-    if hasattr(obj, "a") and hasattr(obj, "b"):  # Trinomial
+    if isinstance(obj, Trinomial):
         return {"a": float(obj.a), "b": float(obj.b)}
     return obj
 
@@ -185,6 +190,9 @@ def _cmd_radial(args) -> int:
         return 0
     if args.table == "gorbachev-h":
         q = bessel_first_zero(args.d / 2.0)
+        if not args.t_max >= q:
+            raise UsageError(f"--t-max must be at least the first zero q_{{d/2}} = {q!r}, "
+                             f"where the H table starts; got {args.t_max}")
         ts = np.arange(q, args.t_max + args.step / 2, args.step)
         vals, info = gorbachev_H_grid(args.d, ts, quad)
         if args.csv:

@@ -14,7 +14,7 @@ incomplete oscillatory power integrals and integration by parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -38,23 +38,10 @@ class Quadrature:
     model_range: float = 600.0  # numeric range for analytic tail-model terms
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.order < 2 or self.panel_width <= 0:
-            raise ValueError("quadrature needs positive order, width and truncation radius")
-
-
-@dataclass
-class RadialSpec:
-    d: int
-    grid: np.ndarray
-    quadrature: Quadrature = field(default_factory=Quadrature)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
-        g = np.asarray(self.grid, dtype=np.float64)
-        if g.size and (np.any(np.diff(g) < 0) or g[0] < 0):
-            raise ValueError("grid must be sorted and nonnegative")
-        self.grid = g
+        if self.order < 2 or not all(x > 0 and math.isfinite(x)
+                                     for x in (self.t_max, self.panel_width)):
+            raise ValueError("quadrature needs order >= 2 and a finite positive width "
+                             "and truncation radius")
 
 
 # --------------------------------------------------------------------------
@@ -306,30 +293,56 @@ def _hankel_norm(alpha: float) -> float:
     return 1.0 / (2.0**alpha * math.gamma(alpha + 1.0))
 
 
-@lru_cache(maxsize=None)
-def _w_tail_closed(alpha: float, q_exp: float, x: float) -> float:
-    """W(x) = integral_x^inf v^(q_exp) j_alpha(v) dv for q_exp <= -2, x > 0."""
-    v1 = max(400.0, x)
-    total = 0.0
-    if v1 > x:
-        edges = _geometric_edges(x, v1, 0.5)
-        nodes, weights = _panel_nodes(edges, 16)
-        total += float(weights @ (nodes**q_exp * np.atleast_1d(bessel_j(alpha, nodes))))
+_W_NUMERIC_END = 400.0  # W is integrated numerically below this, asymptotically beyond
+
+
+def _bessel_power_tails(alpha: float, q_exps, xs: np.ndarray) -> np.ndarray:
+    """W_q(x) = integral_x^inf v^q j_alpha(v) dv for each q in q_exps (all <= -2)
+    and each x in xs (all > 0); shape (len(q_exps), len(xs)).
+
+    Below 400 one composite GL panel set serves every x and every q: its knots
+    are geometric below 1 and 0.5 apart above, with every x inserted, so W(x)
+    is a suffix sum of per-panel integrals.  Beyond max(400, x) the two-term
+    asymptotics of j_alpha are integrated semi-analytically.
+    """
+    out = np.zeros((len(q_exps), xs.size))
+    inside = xs < _W_NUMERIC_END
+    if np.any(inside):
+        knots = np.unique(np.concatenate([
+            _geometric_edges(float(np.min(xs[inside])), _W_NUMERIC_END, 0.5), xs[inside]]))
+        nodes, weights = _panel_nodes(knots, 16)
+        jvals = bessel_j(alpha, nodes)
+        pos = np.searchsorted(knots, xs[inside])
+        for k, q_exp in enumerate(q_exps):
+            per_panel = (weights * nodes**q_exp * jvals).reshape(len(knots) - 1, 16).sum(axis=1)
+            suffix = np.concatenate([np.cumsum(per_panel[::-1])[::-1], [0.0]])
+            out[k, inside] = suffix[pos]
     a, beta, mu = _asym_constants(alpha)
-    rho = alpha + 0.5 - q_exp
-    total += a * _osc_power_tail(rho, 1.0, -beta, v1)
-    total -= a * (mu - 1.0) / 8.0 * _osc_power_tail_sin(rho + 1.0, 1.0, -beta, v1)
-    return total
+    for k, q_exp in enumerate(q_exps):
+        rho = alpha + 0.5 - q_exp
+        for i, x in enumerate(xs):
+            v1 = max(_W_NUMERIC_END, float(x))
+            out[k, i] += a * _osc_power_tail(rho, 1.0, -beta, v1)
+            out[k, i] -= a * (mu - 1.0) / 8.0 * _osc_power_tail_sin(rho + 1.0, 1.0, -beta, v1)
+    return out
 
 
-def _const_term_tail(term: TailTerm, alpha: float, s: float, u0: float) -> float:
-    """integral_{u0}^inf coef u^(-p) j_alpha(s u) u^(2 alpha + 1) du."""
-    q_exp = 2.0 * alpha + 1.0 - term.power
-    if q_exp >= -1.0:
+def _const_terms_tail(terms, alpha: float, s_values: np.ndarray, u0: float) -> np.ndarray:
+    """Per s: sum over terms of integral_{u0}^inf coef u^(-p) j_alpha(s u) u^(2 alpha + 1) du."""
+    q_exps = [2.0 * alpha + 1.0 - t.power for t in terms]
+    if any(q_exp >= -1.0 for q_exp in q_exps):
         raise QuadratureError("tail model power too weak for convergence")
-    if s < 1e-12:
-        return term.coef * u0 ** (q_exp + 1.0) / (-q_exp - 1.0)
-    return term.coef * s ** (-q_exp - 1.0) * _w_tail_closed(alpha, q_exp, s * u0)
+    total = np.zeros_like(s_values)
+    if not terms:
+        return total
+    moving = s_values >= 1e-12
+    s = s_values[moving]
+    w_tails = _bessel_power_tails(alpha, q_exps, s * u0)
+    for term, q_exp, w in zip(terms, q_exps, w_tails):
+        part = np.full_like(s_values, term.coef * u0 ** (q_exp + 1.0) / (-q_exp - 1.0))
+        part[moving] = term.coef * s ** (-q_exp - 1.0) * w
+        total += part
+    return total
 
 
 def _osc_term_tail_asym(term: TailTerm, alpha: float, s: float, t2: float) -> float:
@@ -386,29 +399,36 @@ def _osc_term_tail_slow(term: TailTerm, alpha: float, s: float, t2: float) -> fl
     return g(t2) * cw / w - gprime(t2) * sw / (w * w)
 
 
-def _tail_contribution(model: TailModel, alpha: float, s: float, quad: Quadrature) -> float:
-    """Transform of the tail model over [model.start, inf), unnormalized."""
+def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray,
+               quad: Quadrature) -> np.ndarray:
+    """Transform of the tail model over [model.start, inf) at each s, unnormalized."""
     u0 = model.start
     t2 = max(quad.model_range, u0)
     const_terms = [t for t in model.terms if t.kind == "const"]
     osc_terms = [t for t in model.terms if t.kind != "const"]
-    total = sum(_const_term_tail(t, alpha, s, u0) for t in const_terms)
+    totals = _const_terms_tail(const_terms, alpha, s_values, u0)
+    if not osc_terms:
+        return totals
 
-    if osc_terms:
+    if t2 > u0:
+        nodes, weights = _panel_nodes(_linear_edges(u0, t2, 1.0), 16)
+        osc_vals = np.zeros_like(nodes)
+        for t in osc_terms:
+            osc_vals += t.eval(nodes)
+        power = nodes ** (2.0 * alpha + 1.0)
+    for i, s in enumerate(s_values):
+        s = float(s)
+        total = float(totals[i])
         if t2 > u0:
-            edges = _linear_edges(u0, t2, 1.0)
-            nodes, weights = _panel_nodes(edges, 16)
-            osc_vals = np.zeros_like(nodes)
-            for t in osc_terms:
-                osc_vals += t.eval(nodes)
-            kernel = np.atleast_1d(bessel_j(alpha, s * nodes)) * nodes ** (2.0 * alpha + 1.0)
+            kernel = np.atleast_1d(bessel_j(alpha, s * nodes)) * power
             total += float(weights @ (osc_vals * kernel))
         for t in osc_terms:
             if s * t2 >= 30.0:
                 total += _osc_term_tail_asym(t, alpha, s, t2)
             else:
                 total += _osc_term_tail_slow(t, alpha, s, t2)
-    return total
+        totals[i] = total
+    return totals
 
 
 def hankel_grid(profile: Callable, alpha: float, s_values, quad: Quadrature,
@@ -427,6 +447,8 @@ def hankel_grid(profile: Callable, alpha: float, s_values, quad: Quadrature,
     errors = np.zeros_like(s_values)
     norm = _hankel_norm(alpha)
 
+    tail_vals = _tail_grid(tail, alpha, s_values, quad) if tail is not None else None
+
     orders = (quad.order, quad.order + 8)
     node_sets = [_panel_nodes(edges, o) for o in orders]
     f_vals = []
@@ -444,7 +466,7 @@ def hankel_grid(profile: Callable, alpha: float, s_values, quad: Quadrature,
         err = abs(pair[1] - pair[0])
         value = pair[1]
         if tail is not None:
-            value += _tail_contribution(tail, alpha, float(s), quad)
+            value += tail_vals[i]
         results[i] = norm * value
         errors[i] = norm * err
         scale = 1.0 + abs(results[i])
@@ -483,6 +505,8 @@ def hankel_transform(profile: Callable, alpha: float, s: float,
 
 def yudin_hat_grid(d: int, s_values, quad: Quadrature | None = None) -> np.ndarray:
     """Spectrum of the Yudin bump: (H_{d/2-1} Y_d)(s), tail-corrected."""
+    if d < 1:
+        raise ValueError("dimension must be a positive integer")
     quad = quad or Quadrature()
     values, _ = hankel_grid(lambda u: np.atleast_1d(yudin_Y(d, u)), d / 2.0 - 1.0,
                             s_values, quad, tail=yudin_tail_model(d))
@@ -516,6 +540,8 @@ def sphere_transform(d: int, s) -> np.ndarray | float:
 def gorbachev_H_grid(d: int, ts, quad: Quadrature | None = None) -> tuple[np.ndarray, dict]:
     """H(t) = integral_t^inf s Y_{d+2}(s) ds on a grid, truncated at t_max with
     the analytic tail model beyond; the model residual scale is reported."""
+    if d < 1:
+        raise ValueError("dimension must be a positive integer")
     quad = quad or Quadrature()
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     if np.any(ts < 0):
@@ -570,7 +596,7 @@ def gorbachev_H_report(d: int, ts=None, quad: Quadrature | None = None) -> dict:
     ts = np.asarray(ts, dtype=np.float64)
     values, info = gorbachev_H_grid(d, ts, quad)
     negative = bool(np.max(values) < 0.0)
-    nondecreasing = bool(np.min(np.diff(values)) >= -1e-12)
+    nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
     window = (ts >= 20.0) & (ts <= 50.0)
     scaled = values[window] * ts[window] ** (d + 1.0)
     bounded = bool(scaled.size and np.max(scaled) < 0.0)

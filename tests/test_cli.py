@@ -191,3 +191,39 @@ def test_radial_rejects_nonpositive_step(capsys, table, step):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: --step must be positive")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["radial", "hankel", "--quad-t-max", "inf"], "finite positive"),
+    (["radial", "hankel", "--quad-t-max", "nan"], "finite positive"),
+    (["radial", "gorbachev-h", "--d", "-1"], "dimension must be a positive integer"),
+    (["radial", "gorbachev-h", "--d", "0"], "dimension must be a positive integer"),
+    (["radial", "hankel", "--d", "0"], "dimension must be a positive integer"),
+    (["radial", "gorbachev-h", "--d", "2", "--t-max", "1"], "first zero"),
+])
+def test_radial_rejects_bad_inputs(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_gorbachev_h_single_point_table(capsys):
+    # q_1 = 3.83..., so the table holds t = q only
+    code, out = run(capsys, ["radial", "gorbachev-h", "--d", "2", "--t-max", "4",
+                             "--step", "0.5"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["table"]) == 1
+    assert result["report"]["nondecreasing"] and not result["report"]["pass"]
+
+
+def test_jsonable_trinomial_by_type():
+    from types import SimpleNamespace
+
+    from pdextremal.trinomial import Trinomial
+
+    assert cli._jsonable(Trinomial(0.5, 0.25)) == {"a": 0.5, "b": 0.25}
+    other = SimpleNamespace(a=1, b=2)
+    assert cli._jsonable(other) is other

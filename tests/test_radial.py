@@ -207,17 +207,68 @@ def test_hankel_rejects_unresolvable_integrand():
         hankel_transform(lambda u: np.sin(u**3), 0.0, 1.0, QUAD)
 
 
-def test_radial_spec_validation():
-    from pdextremal.radial import RadialSpec
-
-    spec = RadialSpec(2, np.linspace(0, 5, 11))
-    assert spec.quadrature.t_max == 60.0
-    with pytest.raises(ValueError):
-        RadialSpec(0, np.asarray([0.0]))
-    with pytest.raises(ValueError):
-        RadialSpec(1, np.asarray([3.0, 1.0]))
+def test_quadrature_validation():
     with pytest.raises(ValueError):
         Quadrature(order=1)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Quadrature(t_max=bad)
+        with pytest.raises(ValueError):
+            Quadrature(panel_width=bad)
+
+
+def test_transforms_reject_nonpositive_dimension():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            yudin_hat_grid(d, [0.5], QUAD)
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            gorbachev_H_grid(d, [5.0], QUAD)
+
+
+# s = 0 (closed form), s * 30 < 1 (geometric panels of the constant-term tail
+# integral), the CLI's hankel grid, and s * 30 >= 400 (asymptotics only)
+MIXED_GRID = np.concatenate([[0.0, 0.01, 0.02], np.arange(0.0, 3.0 + 0.025, 0.05), [14.0, 20.0]])
+
+# (d, s, value) from the per-s tail integration that preceded the shared panel set
+YUDIN_HAT_PINS = (
+    (1, 0.01, 0.015461508646220477),
+    (1, 20.0, 4.8251770860821456e-11),
+    (2, 0.0, 1.6973921886098697e-08),
+    (2, 1.5, 0.44065497464651104),
+    (3, 0.02, 0.06182829607292422),
+    (3, 14.0, -2.8716417078795983e-11),
+)
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+
+
+def test_yudin_hat_grid_matches_pointwise():
+    for d in (1, 2, 3):
+        vals = yudin_hat_grid(d, MIXED_GRID, QUAD)
+        for s, v in zip(MIXED_GRID, vals):
+            assert_close(v, yudin_hat_grid(d, [s], QUAD)[0])
+        for pin_d, s, want in YUDIN_HAT_PINS:
+            if pin_d == d:
+                assert_close(vals[int(np.argmin(np.abs(MIXED_GRID - s)))], want)
+
+
+def test_hankel_grid_gorbachev_tail_matches_pointwise():
+    # every constant term of the H model has exponent q = 2 alpha + 1 - p <= -2
+    d = 1
+    model = gorbachev_tail_model(d)
+    assert all(2 * (d / 2 - 1) + 1 - t.power <= -2 for t in model.terms if t.kind == "const")
+
+    def h_profile(u):
+        return gorbachev_H_grid(d, u, QUAD)[0]
+
+    s_grid = [0.0, 0.01, 0.7, 14.0]
+    vals, _ = hankel_grid(h_profile, d / 2 - 1, s_grid, QUAD, tail=model)
+    for s, v in zip(s_grid, vals):
+        assert_close(v, hankel_grid(h_profile, d / 2 - 1, [s], QUAD, tail=model)[0][0])
+    assert_close(vals[2], 1.4214240562851137)
+    assert_close(vals[3], -4.434181762450629e-09)
 
 
 def test_yudin_hat_properties():
