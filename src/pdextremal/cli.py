@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -167,12 +168,21 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 2
 
 
+def _grid(start: float, stop: float, step: float, flag: str) -> np.ndarray:
+    """Table points start, start + step, ... up to the value of flag."""
+    if not start <= stop < math.inf:
+        raise UsageError(f"{flag} must be finite and at least {start!r}, got {stop}")
+    return np.arange(start, stop + step / 2, step)
+
+
 def _cmd_radial(args) -> int:
     if not args.step > 0:
         raise UsageError(f"--step must be positive, got {args.step}")
+    if args.d < 1:
+        raise UsageError(f"--d: dimension must be a positive integer, got {args.d}")
     quad = Quadrature(t_max=args.quad_t_max)
     if args.table == "yudin":
-        ts = np.arange(0.0, args.t_max + args.step / 2, args.step)
+        ts = _grid(0.0, args.t_max, args.step, "--t-max")
         vals = np.atleast_1d(yudin_Y(args.d, ts))
         if args.csv:
             _emit_csv(["t", "Y"], zip(ts, vals))
@@ -181,7 +191,7 @@ def _cmd_radial(args) -> int:
             _emit("radial yudin", {"report": report, "table": list(zip(ts, vals))})
         return 0
     if args.table == "hankel":
-        ss = np.arange(0.0, args.s_max + args.step / 2, args.step)
+        ss = _grid(0.0, args.s_max, args.step, "--s-max")
         vals = yudin_hat_grid(args.d, ss, quad)
         if args.csv:
             _emit_csv(["s", "yhat"], zip(ss, vals))
@@ -193,16 +203,16 @@ def _cmd_radial(args) -> int:
         if not args.t_max >= q:
             raise UsageError(f"--t-max must be at least the first zero q_{{d/2}} = {q!r}, "
                              f"where the H table starts; got {args.t_max}")
-        ts = np.arange(q, args.t_max + args.step / 2, args.step)
+        ts = _grid(q, args.t_max, args.step, "--t-max")
         vals, info = gorbachev_H_grid(args.d, ts, quad)
         if args.csv:
             _emit_csv(["t", "H"], zip(ts, vals))
         else:
-            report = gorbachev_H_report(args.d, ts, quad)
+            report = gorbachev_H_report(args.d, ts, quad, grid=(vals, info))
             _emit("radial gorbachev-h", {"report": report, "table": list(zip(ts, vals))})
         return 0
     # ball-transform
-    xs = np.arange(0.0, args.t_max + args.step / 2, args.step)
+    xs = _grid(0.0, args.t_max, args.step, "--t-max")
     vals = np.atleast_1d(ball_char_transform(args.d, xs))
     if args.csv:
         _emit_csv(["x", "ball_hat"], zip(xs, vals))

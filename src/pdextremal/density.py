@@ -112,39 +112,27 @@ def integer_shadow(intervals: Sequence[Sequence[float]], closed: bool = False) -
     return sorted(out)
 
 
-def _max_independent_set(p: int, forbidden_residues: set[int]) -> list[int]:
-    """Largest S in Z_p with (S - S) mod p avoiding the forbidden residues.
+def _largest_independent_set(n: int, conflict: Sequence[int]) -> list[int]:
+    """Largest S in range(n) with no bit y of conflict[x] set for x, y in S.
 
-    Branch and bound over residues in increasing order; among maximum sets the
-    lexicographically smallest is returned (ties resolved by preferring to
-    include the smallest available residue first).
+    Branch and bound over 0..n-1 in increasing order with an explicit stack,
+    so the depth is not limited by recursion.  Each node is tried with its
+    element included before excluded, so among maximum sets the
+    lexicographically smallest is returned.
     """
-    conflict = [0] * p  # bitmask of residues conflicting with r
-    for r in range(p):
-        m = 0
-        for f in forbidden_residues:
-            m |= 1 << ((r + f) % p)
-            m |= 1 << ((r - f) % p)
-        conflict[r] = m
-
-    best: list[int] = []
-
-    def extend(start: int, chosen: list[int], banned: int):
-        nonlocal best
-        if len(chosen) + (p - start) <= len(best):
-            return
-        if start == p:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
+    best, best_size = 0, 0
+    stack = [(0, 0, 0, 0)]  # (next element, banned mask, chosen mask, chosen count)
+    while stack:
+        start, banned, chosen, size = stack.pop()
+        if size + (n - start) <= best_size:
+            continue
+        if start == n:
+            best, best_size = chosen, size
+            continue
+        stack.append((start + 1, banned, chosen, size))
         if not (banned >> start) & 1:
-            chosen.append(start)
-            extend(start + 1, chosen, banned | conflict[start])
-            chosen.pop()
-        extend(start + 1, chosen, banned)
-
-    extend(0, [], 0)
-    return best
+            stack.append((start + 1, banned | conflict[start], chosen | (1 << start), size + 1))
+    return [x for x in range(n) if (best >> x) & 1]
 
 
 def max_density_search(forbidden_diffs: Iterable[int], max_period: int) -> dict:
@@ -168,7 +156,11 @@ def max_density_search(forbidden_diffs: Iterable[int], max_period: int) -> dict:
         residues = {f % p for f in forbidden}
         if 0 in residues:
             continue  # some forbidden difference is a multiple of p
-        witness = _max_independent_set(p, residues)
+        conflict = [0] * p  # bitmask of residues conflicting with r
+        for r in range(p):
+            for f in residues:
+                conflict[r] |= (1 << ((r + f) % p)) | (1 << ((r - f) % p))
+        witness = _largest_independent_set(p, conflict)
         dens = Fraction(len(witness), p)
         if dens > best_density:
             best_density = dens

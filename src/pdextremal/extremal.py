@@ -13,6 +13,11 @@ deduplicated restrictions of the ambient character group, G/K's characters
 are the annihilator of K evaluated on coset representatives.  All three
 groups carry counting measure, which makes the Weil decomposition
 dm_G = dm_K dm_{G/K} exact and the measure factor equal to 1.
+
+Characters are identified and paired by exact integer arithmetic, never by
+comparing floats: the conjugate of chi_k is chi_{-k}, so every view takes its
+pairing from the group's negation, and restrictions to K are deduplicated by
+their integer phase rows (``Group.char_phases``).
 """
 
 from __future__ import annotations
@@ -46,12 +51,14 @@ class ExtremalResult:
 
 
 class _SpectralView:
-    """What the LP needs from a group: weight, negation, and character rows."""
+    """What the LP needs from a group: weight, negation, character rows, and
+    the conjugate pairing of those rows (table[pair] == conj(table))."""
 
-    def __init__(self, weight: float, neg: np.ndarray, char_table: np.ndarray):
+    def __init__(self, weight: float, neg: np.ndarray, char_table: np.ndarray, pair: np.ndarray):
         self.weight = float(weight)
         self.neg = np.asarray(neg, dtype=np.int64)
         self.table = np.asarray(char_table, dtype=np.complex128)
+        self.pair = np.asarray(pair, dtype=np.int64)
         self.size = self.neg.shape[0]
         if self.table.shape != (self.size, self.size):
             raise ValueError("character table must be square")
@@ -59,7 +66,8 @@ class _SpectralView:
     @classmethod
     def of_group(cls, group: Group, weight: float | None = None) -> "_SpectralView":
         w = group.weight if weight is None else weight
-        return cls(w, group.neg, group.char_values(np.arange(group.size)))
+        # conj(chi_k) = chi_{-k}
+        return cls(w, group.neg, group.char_values(np.arange(group.size)), group.neg)
 
 
 def _orbits(neg: np.ndarray):
@@ -68,23 +76,6 @@ def _orbits(neg: np.ndarray):
     orbit_of = np.searchsorted(rep_list, reps)
     sizes = np.bincount(orbit_of)
     return rep_list, orbit_of, sizes
-
-
-def _char_key(row: np.ndarray) -> bytes:
-    return (np.round(row, 9) + (0 + 0j)).tobytes()  # +0 normalizes signed zeros
-
-
-def _char_pairing(table: np.ndarray) -> np.ndarray:
-    """Index of the conjugate character for each row of the table."""
-    n = table.shape[0]
-    keys = {_char_key(table[k]): k for k in range(n)}
-    pair = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        kk = keys.get(_char_key(np.conj(table[k])))
-        if kk is None:
-            raise SolverFailure("character table is not closed under conjugation")
-        pair[k] = kk
-    return pair
 
 
 def _solve_view(view: _SpectralView, mask_plus: np.ndarray, mask_minus: np.ndarray):
@@ -103,7 +94,7 @@ def _solve_view(view: _SpectralView, mask_plus: np.ndarray, mask_minus: np.ndarr
 
     rep_list, orbit_of, sizes = _orbits(view.neg)
 
-    pair = _char_pairing(view.table)
+    pair = view.pair
     char_reps = np.flatnonzero(np.arange(n) <= pair)
     char_orbit_sizes = 1 + (pair[char_reps] != char_reps)
     mchar = char_reps.shape[0]
@@ -172,36 +163,15 @@ def largest_packing_witness(group: Group, omega_plus: SymSet) -> list[int]:
     The autocorrelation of A, normalized to 1 at zero, certifies
     C(Omega+, .) >= m_G(A).
     """
+    if not omega_plus.mask[0]:
+        return []
     n = group.size
-    allowed = omega_plus.mask
-    conflict = []
-    for x in range(n):
-        d = group.sub_index(x, np.arange(n))
-        bad = ~allowed[d]
-        mask = 0
-        for y in np.flatnonzero(bad):
-            mask |= 1 << int(y)
-        conflict.append(mask)
-
-    best: list[int] = []
-
-    def extend(start: int, chosen: list[int], banned: int):
-        nonlocal best
-        if len(chosen) + (n - start) <= len(best):
-            return
-        if start == n:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        if not (banned >> start) & 1:
-            chosen.append(start)
-            extend(start + 1, chosen, banned | conflict[start])
-            chosen.pop()
-        extend(start + 1, chosen, banned)
-
-    if allowed[0]:
-        extend(0, [], 0)
-    return best
+    idx = np.arange(n)
+    # conflict[x] has bit y set when x - y is outside Omega+
+    conflict = [int.from_bytes(np.packbits(~omega_plus.mask[group.sub_index(x, idx)],
+                                           bitorder="little").tobytes(), "little")
+                for x in range(n)]
+    return density_mod._largest_independent_set(n, conflict)
 
 
 def verify_tile_theorem(group: Group, h, lam, omega_minus: SymSet) -> dict:
@@ -241,30 +211,26 @@ def verify_main_theorem(group: Group, omega_plus: SymSet, lam) -> dict:
 def _subgroup_view(group: Group, k_indices: np.ndarray) -> tuple[_SpectralView, np.ndarray]:
     """Counting-measure view of a subgroup, via deduplicated character restrictions."""
     k_indices = np.sort(np.asarray(k_indices, dtype=np.int64))
-    pos = {int(e): i for i, e in enumerate(k_indices)}
-    nk = len(k_indices)
-    neg = np.asarray([pos[int(group.neg[e])] for e in k_indices], dtype=np.int64)
+    neg = np.searchsorted(k_indices, group.neg[k_indices])
 
-    restricted = group.char_values(np.arange(group.size), k_indices)
-    seen = {}
-    rows = []
-    for k in range(group.size):
-        key = _char_key(restricted[k])
-        if key not in seen:
-            seen[key] = len(rows)
-            rows.append(restricted[k])
-    if len(rows) != nk:
+    # characters of G agree on K exactly when their integer phase rows on K
+    # agree; keep one per class, in first-occurrence order
+    phases = group.char_phases(np.arange(group.size), k_indices)
+    _, first, inverse = np.unique(phases, axis=0, return_index=True, return_inverse=True)
+    if first.shape[0] != k_indices.shape[0]:
         raise ValueError("restriction did not produce #K distinct characters; K is not a subgroup")
-    return _SpectralView(1.0, neg, np.asarray(rows)), k_indices
+    order = np.argsort(first)
+    reps = first[order]
+    rank = np.argsort(order)  # unique-row id -> position among reps
+    pair = rank[inverse[group.neg[reps]]]
+    return _SpectralView(1.0, neg, group.char_values(reps, k_indices), pair), k_indices
 
 
 def _quotient_view(group: Group, k_indices: np.ndarray):
     """Counting-measure view of G/K: cosets as elements, annihilator characters."""
     n = group.size
     k_indices = np.asarray(k_indices, dtype=np.int64)
-    rep = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        rep[x] = int(np.min(group.add_index(x, k_indices)))
+    rep = group.add_index(np.arange(n)[:, None], k_indices[None, :]).min(axis=1)
     rep_list = np.unique(rep)
     coset_of = np.searchsorted(rep_list, rep)
     neg = coset_of[rep[group.neg[rep_list]]]
@@ -275,7 +241,8 @@ def _quotient_view(group: Group, k_indices: np.ndarray):
     if ann.shape[0] != n // len(k_indices):
         raise ValueError("annihilator size mismatch; K is not a subgroup")
     table = group.char_values(ann, rep_list)
-    return _SpectralView(1.0, neg, table), rep_list, coset_of
+    pair = np.searchsorted(ann, group.neg[ann])
+    return _SpectralView(1.0, neg, table, pair), rep_list, coset_of
 
 
 def _is_subgroup(group: Group, k_indices: np.ndarray) -> bool:

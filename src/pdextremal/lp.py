@@ -147,25 +147,41 @@ def _highs_lp(p: LpProblem):
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the LP; optimal solutions carry row duals and a checked certificate."""
+    """Solve the LP; optimal solutions carry row duals and a checked certificate.
+
+    HiGHS accepts a primal residual within its own feasibility tolerance
+    (1e-7), looser than the certificate's 1e-9.  An answer that fails the
+    certificate is therefore re-solved once from its basis with both
+    feasibility tolerances at 1e-10 before the failure is reported.
+    """
     h = highs._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         h.setOptionValue(name, value)
     h.passModel(_highs_lp(problem))
-    h.run()
-    status = h.getModelStatus()
-    iterations = int(h.getInfo().simplex_iteration_count)
-    if status in _STATUS:
-        name, value = _STATUS[status]
-        return LpSolution(name, None, value, None, iterations=iterations)
-    # with no columns HiGHS reports an empty model without reading the rows;
-    # the certificate check below still does
-    if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
-        raise SolverFailure(f"HiGHS ended with status {h.modelStatusToString(status)}")
+    iterations = 0
+    for tightened in (False, True):
+        if tightened:
+            h.setOptionValue("primal_feasibility_tolerance", 1e-10)
+            h.setOptionValue("dual_feasibility_tolerance", 1e-10)
+        h.run()
+        status = h.getModelStatus()
+        iterations += int(h.getInfo().simplex_iteration_count)
+        if status in _STATUS:
+            name, value = _STATUS[status]
+            return LpSolution(name, None, value, None, iterations=iterations)
+        # with no columns HiGHS reports an empty model without reading the rows;
+        # the certificate check below still does
+        if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
+            raise SolverFailure(f"HiGHS ended with status {h.modelStatusToString(status)}")
 
-    solution = h.getSolution()
-    x = np.asarray(solution.col_value, dtype=np.float64)
-    y = -np.asarray(solution.row_dual, dtype=np.float64)  # duals of the minimization
-    max_violation, dual_objective = check_certificate(problem, x, y)
-    return LpSolution("optimal", x, float(problem.c @ x), y, dual_objective=dual_objective,
-                      max_violation=max_violation, iterations=iterations)
+        solution = h.getSolution()
+        x = np.asarray(solution.col_value, dtype=np.float64)
+        y = -np.asarray(solution.row_dual, dtype=np.float64)  # duals of the minimization
+        try:
+            max_violation, dual_objective = check_certificate(problem, x, y)
+        except SolverFailure:
+            if tightened:
+                raise
+            continue
+        return LpSolution("optimal", x, float(problem.c @ x), y, dual_objective=dual_objective,
+                          max_violation=max_violation, iterations=iterations)

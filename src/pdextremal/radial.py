@@ -587,14 +587,18 @@ def gorbachev_H(d: int, t: float, quad: Quadrature | None = None) -> float:
     return float(values[0])
 
 
-def gorbachev_H_report(d: int, ts=None, quad: Quadrature | None = None) -> dict:
-    """Sign/monotonicity of H beyond q_{d/2} and boundedness of H(t) t^(d+1)."""
+def gorbachev_H_report(d: int, ts=None, quad: Quadrature | None = None, grid=None) -> dict:
+    """Sign/monotonicity of H beyond q_{d/2} and boundedness of H(t) t^(d+1).
+
+    ``grid`` is the (values, info) pair of ``gorbachev_H_grid(d, ts, quad)``
+    when the caller has computed it already.
+    """
     quad = quad or Quadrature()
     q = bessel_first_zero(d / 2.0)
     if ts is None:
         ts = np.linspace(q, 50.0, 400)
     ts = np.asarray(ts, dtype=np.float64)
-    values, info = gorbachev_H_grid(d, ts, quad)
+    values, info = gorbachev_H_grid(d, ts, quad) if grid is None else grid
     negative = bool(np.max(values) < 0.0)
     nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
     window = (ts >= 20.0) & (ts <= 50.0)

@@ -200,6 +200,14 @@ def test_radial_rejects_nonpositive_step(capsys, table, step):
     (["radial", "gorbachev-h", "--d", "0"], "dimension must be a positive integer"),
     (["radial", "hankel", "--d", "0"], "dimension must be a positive integer"),
     (["radial", "gorbachev-h", "--d", "2", "--t-max", "1"], "first zero"),
+    (["radial", "gorbachev-h", "--d", "-3"], "--d: dimension"),
+    (["radial", "yudin", "--t-max", "-1"], "--t-max must be finite and at least 0.0"),
+    (["radial", "hankel", "--s-max", "-1"], "--s-max must be finite and at least 0.0"),
+    (["radial", "yudin", "--t-max", "inf"], "--t-max must be finite"),
+    (["radial", "ball-transform", "--t-max", "inf"], "--t-max must be finite"),
+    (["radial", "gorbachev-h", "--t-max", "inf"], "--t-max must be finite"),
+    (["radial", "hankel", "--s-max", "inf"], "--s-max must be finite"),
+    (["radial", "hankel", "--s-max", "nan"], "--s-max must be finite"),
 ])
 def test_radial_rejects_bad_inputs(capsys, argv, message):
     code = cli.main(argv)
@@ -207,6 +215,25 @@ def test_radial_rejects_bad_inputs(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_gorbachev_h_report_reuses_the_table_grid(capsys, monkeypatch):
+    import pdextremal.radial as radial
+
+    calls = []
+    grid = radial.gorbachev_H_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "gorbachev_H_grid", counted)
+    monkeypatch.setattr(cli, "gorbachev_H_grid", counted)
+    code, out = run(capsys, ["radial", "gorbachev-h", "--d", "2", "--t-max", "10"])
+    assert code == 0
+    assert len(calls) == 1
+    result = json.loads(out)["result"]
+    assert result["report"] == radial.gorbachev_H_report(2, [t for t, _ in result["table"]])
 
 
 def test_gorbachev_h_single_point_table(capsys):

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pdextremal.extremal import (
+    _SpectralView,
+    _quotient_view,
+    _subgroup_view,
     ConditionViolated,
     NotAStrictTiling,
     delsarte,
@@ -295,3 +300,63 @@ def test_product_group_mask_layout():
     assert prod.orders == (2, 3)
     s = product_set(g2, g3, sym(g2, [0, 1]), sym(g3, [0]))
     assert s.elements() == [(0, 0), (1, 0)]
+
+
+def test_packing_witness_is_lexicographically_first_maximum():
+    rng = SplitMix64(77)
+    for _ in range(15):
+        n = 2 + rng.below(9)
+        g = make_group([n], "probability")
+        op = SymSet(g, symmetric_mask(rng, g, include_zero=True))
+        expected = next(list(a) for k in range(n, 0, -1)
+                        for a in itertools.combinations(range(n), k)
+                        if all(op.mask[(x - y) % n] for x in a for y in a))
+        assert largest_packing_witness(g, op) == expected
+
+
+def test_packing_witness_on_a_large_cycle():
+    # deeper than Python's recursion limit: the search keeps its own stack
+    g = make_group([1200], "probability")
+    assert largest_packing_witness(g, sym(g, [-1, 0, 1])) == [0, 1]
+
+
+def _subgroup(group, factors):
+    """Sorted element indices of the product of the given coordinate subsets."""
+    return np.sort([group.element_index(c) for c in itertools.product(*factors)])
+
+
+@pytest.mark.parametrize("orders, k_factors", [
+    ((4, 6), ([0, 2], [0, 3])),
+    ((4, 6), ([0, 1, 2, 3], [0, 2, 4])),
+    ((6, 6, 2), ([0, 3], [0, 2, 4], [0, 1])),
+    ((6, 6, 2), ([0, 2, 4], [0], [0, 1])),
+])
+def test_spectral_views_pair_conjugate_characters(orders, k_factors):
+    g = make_group(list(orders), "counting")
+    k = _subgroup(g, k_factors)
+    k_view, _ = _subgroup_view(g, k)
+    q_view, _, _ = _quotient_view(g, k)
+    assert k_view.size == len(k) and q_view.size == g.size // len(k)
+    for view in (_SpectralView.of_group(g), k_view, q_view):
+        assert np.array_equal(view.pair[view.pair], np.arange(view.size))
+        assert np.allclose(view.table[view.pair], np.conj(view.table), atol=1e-12)
+        # the rows are distinct characters: the table is N times a unitary
+        gram = view.table @ np.conj(view.table).T
+        assert np.allclose(gram, view.size * np.eye(view.size), atol=1e-9)
+        assert view.pair[0] == 0 and np.allclose(view.table[0], 1.0)
+
+
+def test_homomorphism_subgroup_constant_matches_direct_lp():
+    # K = {0,2} x {0,3} in Z_4 x Z_6 is Z_2 x Z_2 via (2a, 3b) -> (a, b)
+    g = make_group([4, 6], "counting")
+    k2 = make_group([2, 2], "counting")
+    k = _subgroup(g, ([0, 2], [0, 3]))
+    to_g = [g.element_index((2 * a, 3 * b)) for a, b in itertools.product(range(2), range(2))]
+    rng = SplitMix64(5)
+    for _ in range(12):
+        op = SymSet(g, symmetric_mask(rng, g, include_zero=True))
+        om = SymSet(g, symmetric_mask(rng, g, include_zero=rng.chance(1, 2)))
+        rep = verify_homomorphism_bound(g, k, op, om)
+        direct = two_set_constant(k2, SymSet(k2, op.mask[to_g]), SymSet(k2, om.mask[to_g]))
+        assert rep["subgroup_constant"] == pytest.approx(direct.value, abs=1e-9)
+        assert rep["pass"]

@@ -206,3 +206,44 @@ def test_certificate_rejects_positive_reduced_cost_without_upper_bound():
     with pytest.raises(SolverFailure, match="dual infeasibility") as exc:
         check_certificate(p, np.array([1.0, 0.0]), np.array([1.0, -1.0]))
     assert "gap" not in str(exc.value) and "sign" not in str(exc.value)
+
+
+# Delsarte's LP on the probability-normalized Z_240 with this Omega+: the
+# first HiGHS answer has a primal residual of 5.8e-8, inside HiGHS's own
+# feasibility tolerance (1e-7) but not inside the certificate's 1e-9
+Z240_OMEGA_PLUS = [0, 1, 18, 21, 30, 31, 40, 52, 57, 58, 72, 76, 83, 85, 88, 101, 102, 106,
+                   114, 126, 134, 138, 139, 152, 155, 157, 164, 168, 182, 183, 188, 200, 209,
+                   210, 219, 222, 239]
+
+
+def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
+    from pdextremal import extremal, lp
+    from pdextremal.groups import SymSet, make_group
+
+    problems = []
+    monkeypatch.setattr(extremal, "solve", lambda p: problems.append(p) or solve(p))
+    g = make_group([240], "probability")
+    res = extremal.delsarte(g, SymSet.from_elements(g, Z240_OMEGA_PLUS))
+    (problem,) = problems
+
+    # HiGHS's answer at its default tolerances fails the certificate ...
+    h = lp.highs._Highs()
+    for name, value in lp._HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    h.passModel(lp._highs_lp(problem))
+    h.run()
+    first = h.getSolution()
+    with pytest.raises(SolverFailure, match="residual"):
+        check_certificate(problem, np.asarray(first.col_value), -np.asarray(first.row_dual))
+
+    # ... and solve re-runs it from that basis into a checked optimum
+    assert res.status == "optimal"
+    sol = solve(problem)
+    assert sol.max_violation <= 1e-9 * (1 + np.max(np.abs(problem.b)))
+    assert sol.objective_value == res.value
+    eq = np.asarray(problem.senses) == "="
+    sign = np.where(np.asarray(problem.senses) == ">=", -1.0, 1.0)[~eq]
+    ref = linprog(-problem.c, A_ub=problem.a[~eq] * sign[:, None], b_ub=problem.b[~eq] * sign,
+                  A_eq=problem.a[eq], b_eq=problem.b[eq], bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
