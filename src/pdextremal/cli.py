@@ -31,7 +31,6 @@ from .fuzz import SUITES
 from .groups import Group, SymSet, set_from_json
 from .lp import SolverFailure
 from .radial import (
-    Quadrature,
     QuadratureError,
     ball_char_transform,
     bessel_first_zero,
@@ -54,6 +53,8 @@ TOLERANCES = {
     "lp_pivot": 1e-9,
     "quadrature": 1e-9,
 }
+
+MAX_TABLE_POINTS = 10**6
 
 _INTERVAL = re.compile(r"^\[(-?\d+)\s*,\s*(-?\d+)\]$")
 
@@ -172,6 +173,9 @@ def _grid(start: float, stop: float, step: float, flag: str) -> np.ndarray:
     """Table points start, start + step, ... up to the value of flag."""
     if not start <= stop < math.inf:
         raise UsageError(f"{flag} must be finite and at least {start!r}, got {stop}")
+    if (stop - start) / step + 1 > MAX_TABLE_POINTS:
+        raise UsageError(f"{flag} = {stop} with --step = {step} gives more than "
+                         f"{MAX_TABLE_POINTS} table points")
     return np.arange(start, stop + step / 2, step)
 
 
@@ -180,7 +184,6 @@ def _cmd_radial(args) -> int:
         raise UsageError(f"--step must be positive, got {args.step}")
     if args.d < 1:
         raise UsageError(f"--d: dimension must be a positive integer, got {args.d}")
-    quad = Quadrature(t_max=args.quad_t_max)
     if args.table == "yudin":
         ts = _grid(0.0, args.t_max, args.step, "--t-max")
         vals = np.atleast_1d(yudin_Y(args.d, ts))
@@ -192,7 +195,7 @@ def _cmd_radial(args) -> int:
         return 0
     if args.table == "hankel":
         ss = _grid(0.0, args.s_max, args.step, "--s-max")
-        vals = yudin_hat_grid(args.d, ss, quad)
+        vals = yudin_hat_grid(args.d, ss, args.quad_t_max)
         if args.csv:
             _emit_csv(["s", "yhat"], zip(ss, vals))
         else:
@@ -204,11 +207,11 @@ def _cmd_radial(args) -> int:
             raise UsageError(f"--t-max must be at least the first zero q_{{d/2}} = {q!r}, "
                              f"where the H table starts; got {args.t_max}")
         ts = _grid(q, args.t_max, args.step, "--t-max")
-        vals, info = gorbachev_H_grid(args.d, ts, quad)
+        vals, info = gorbachev_H_grid(args.d, ts, args.quad_t_max)
         if args.csv:
             _emit_csv(["t", "H"], zip(ts, vals))
         else:
-            report = gorbachev_H_report(args.d, ts, quad, grid=(vals, info))
+            report = gorbachev_H_report(args.d, ts, args.quad_t_max, grid=(vals, info))
             _emit("radial gorbachev-h", {"report": report, "table": list(zip(ts, vals))})
         return 0
     # ball-transform
@@ -245,19 +248,42 @@ def _cmd_trinomial(args) -> int:
     return 0 if comparison["pass"] else 2
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _int_list(text: str, flag: str) -> list:
+    data = _parse_json(text, flag)
+    if not (isinstance(data, list) and all(map(_is_int, data))):
+        raise UsageError(f"{flag} must be a JSON list of integers, got {text!r}")
+    return data
+
+
 def _cmd_density(args) -> int:
     if args.action == "search":
-        forbidden = _parse_json(args.forbidden, "forbidden set")
+        forbidden = _int_list(args.forbidden, "--forbidden")
         report = max_density_search(forbidden, args.max_period)
         _emit("density search", report)
         return 0
     if args.action == "auud":
-        residues = _parse_json(args.residues, "residues")
+        residues = _int_list(args.residues, "--residues")
         ps = PeriodicSet(args.period, frozenset(residues))
         _emit("density auud", {"periodic_set": ps, "density": auud_periodic(ps)})
         return 0
-    intervals = _parse_json(args.intervals, "intervals")
-    shadow = integer_shadow(intervals, closed=args.closed)
+    intervals = _parse_json(args.intervals, "--intervals")
+    if not (isinstance(intervals, list)
+            and all(isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))
+                    for pair in intervals)):
+        raise UsageError("--intervals must be a JSON list of [lo, hi] pairs of finite numbers, "
+                         f"got {args.intervals!r}")
+    try:
+        shadow = integer_shadow(intervals, closed=args.closed)
+    except ValueError as exc:
+        raise UsageError(f"--intervals: {exc}") from exc
     _emit("density shadow", {"intervals": intervals, "closed": args.closed,
                              "forbidden": shadow})
     return 0

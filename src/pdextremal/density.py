@@ -11,6 +11,7 @@ patterns up to the stated period bound only, and reports that bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,11 +52,7 @@ def shift_counts(group: Group, h, lam) -> np.ndarray:
 
 def packs_strict(group: Group, h, lam) -> bool:
     """(Lambda - Lambda) intersect (H - H) == {0}."""
-    dl = difference_mask(group, lam, lam)
-    dh = difference_mask(group, h, h)
-    both = dl & dh
-    both[0] = False
-    return not both.any()
+    return packing_type(difference_mask(group, h, h), lam, group=group)
 
 
 def covers(group: Group, h, lam) -> bool:
@@ -90,6 +87,9 @@ def auud_periodic(lam: PeriodicSet) -> Fraction:
     return lam.density()
 
 
+MAX_SHADOW = 10**6  # most integers one interval may hold
+
+
 def integer_shadow(intervals: Sequence[Sequence[float]], closed: bool = False) -> list[int]:
     """Positive integers inside a union of rational intervals (open by default).
 
@@ -101,14 +101,15 @@ def integer_shadow(intervals: Sequence[Sequence[float]], closed: bool = False) -
         if len(pair) != 2:
             raise ValueError(f"interval must be a [lo, hi] pair, got {pair!r}")
         lo, hi = float(pair[0]), float(pair[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"interval endpoints must be finite: {pair!r}")
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {pair!r}")
-        k = int(np.floor(lo)) - 1
-        while k <= int(np.ceil(hi)) + 1:
-            inside = (lo <= k <= hi) if closed else (lo < k < hi)
-            if inside and abs(k) > 0:
-                out.add(abs(k))
-            k += 1
+        first, last = ((math.ceil(lo), math.floor(hi)) if closed
+                       else (math.floor(lo) + 1, math.ceil(hi) - 1))
+        if last - first >= MAX_SHADOW:
+            raise ValueError(f"interval {pair!r} holds more than {MAX_SHADOW} integers")
+        out.update(abs(k) for k in range(first, last + 1) if k)
     return sorted(out)
 
 

@@ -10,6 +10,8 @@ way that can be reproduced from the algorithm description alone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .density import density_bounds_check, packs_strict, shift_counts
@@ -51,18 +53,16 @@ class SplitMix64:
         return items[self.below(len(items))]
 
 
-def symmetric_mask(rng: SplitMix64, group: Group, include_zero: bool,
-                   keep_per_orbit: tuple[int, int] = (1, 2)) -> np.ndarray:
-    """Random 0-symmetric mask; each {x, -x} orbit kept with probability num/den."""
+def symmetric_mask(rng: SplitMix64, group: Group, include_zero: bool) -> np.ndarray:
+    """Random 0-symmetric mask; each {x, -x} orbit kept with probability 1/2."""
     mask = np.zeros(group.size, dtype=bool)
-    num, den = keep_per_orbit
     for x in range(group.size):
         if x > group.neg[x]:
             continue
         if x == 0:
             mask[0] = include_zero
             continue
-        if rng.chance(num, den):
+        if rng.chance(1, 2):
             mask[x] = True
             mask[group.neg[x]] = True
     return mask
@@ -72,16 +72,29 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _check_sizes(count: int, max_n: int, smallest: int) -> None:
-    """Reject a negative instance count or a max_n below the suite's smallest group."""
+MAX_GROUP = 2048  # largest group a suite may draw
+
+
+def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case,
+               factors: int = 1) -> dict:
+    """Run ``case(rng, max_n)`` for count instances and report them.
+
+    Each case returns its instance row with a "pass" flag.  The suite's groups
+    have between smallest and max_n ** factors elements.
+    """
     if count < 0:
         raise ValueError(f"instance count must be nonnegative, got {count}")
     if max_n < smallest:
         raise ValueError(f"max_n must be at least {smallest} for this suite, got {max_n}")
-
-
-def _set_json(group: Group, mask: np.ndarray) -> list:
-    return SymSet(group, mask.copy()).elements()
+    limit = int(MAX_GROUP ** (1.0 / factors))
+    if max_n > limit:
+        raise ValueError(f"max_n (--max-n) must be at most {limit} for this suite "
+                         f"(groups of at most {MAX_GROUP} elements), got {max_n}")
+    rng = SplitMix64(seed)
+    instances = [{"index": i, **case(rng, max_n)} for i in range(count)]
+    failures = sum(not inst["pass"] for inst in instances)
+    return {"suite": name, "count": count, "seed": seed, "max_n": max_n,
+            "failures": failures, "pass": failures == 0, "instances": instances}
 
 
 def tile_instance(rng: SplitMix64, max_n: int) -> dict:
@@ -101,20 +114,14 @@ def tile_instance(rng: SplitMix64, max_n: int) -> dict:
             "desc": {"n": n, "k": k, "omega_minus": omega_minus.elements()}}
 
 
+def _tile_case(rng: SplitMix64, max_n: int) -> dict:
+    inst = tile_instance(rng, max_n)
+    rep = verify_tile_theorem(inst["group"], inst["h"], inst["lam"], inst["omega_minus"])
+    return {**inst["desc"], "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
+
+
 def run_tile_suite(count: int, seed: int, max_n: int = 40) -> dict:
-    _check_sizes(count, max_n, 2)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    for i in range(count):
-        inst = tile_instance(rng, max_n)
-        rep = verify_tile_theorem(inst["group"], inst["h"], inst["lam"], inst["omega_minus"])
-        ok = rep["pass"]
-        failures += not ok
-        instances.append({"index": i, **inst["desc"], "lhs": rep["lhs"], "rhs": rep["rhs"],
-                          "pass": ok})
-    return {"suite": "tile", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "pass": failures == 0, "instances": instances}
+    return _run_suite("tile", count, seed, max_n, 2, _tile_case)
 
 
 def main_instance(rng: SplitMix64, max_n: int) -> dict:
@@ -122,7 +129,7 @@ def main_instance(rng: SplitMix64, max_n: int) -> dict:
     group = make_group([n], "probability")
     if rng.chance(3, 10):
         # strict-tile construction: tight case D = k/n = 1/#Lambda
-        k = rng.pick([d for d in _divisors(n) if d >= 1])
+        k = rng.pick(_divisors(n))
         lam = list(range(0, n, k))
         mask = np.zeros(n, dtype=bool)
         for j in range(-(k - 1), k):
@@ -147,27 +154,24 @@ def main_instance(rng: SplitMix64, max_n: int) -> dict:
             "desc": {"n": n, "omega_plus": omega_plus.elements(), "lam": lam}}
 
 
+def _main_case(rng: SplitMix64, max_n: int) -> dict:
+    inst = main_instance(rng, max_n)
+    rep = verify_main_theorem(inst["group"], inst["omega_plus"], inst["lam"])
+    return {**inst["desc"], "delsarte": rep["delsarte"], "bound": rep["bound"],
+            "pass": rep["pass"], "tight": rep["tight"]}
+
+
 def run_main_suite(count: int, seed: int, max_n: int = 40) -> dict:
-    _check_sizes(count, max_n, 4)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    tight = 0
-    for i in range(count):
-        inst = main_instance(rng, max_n)
-        rep = verify_main_theorem(inst["group"], inst["omega_plus"], inst["lam"])
-        failures += not rep["pass"]
-        tight += rep["tight"]
-        instances.append({"index": i, **inst["desc"], "delsarte": rep["delsarte"],
-                          "bound": rep["bound"], "pass": rep["pass"], "tight": rep["tight"]})
-    return {"suite": "main", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "tight_instances": tight,
-            "pass": failures == 0 and tight >= 1, "instances": instances}
+    report = _run_suite("main", count, seed, max_n, 4, _main_case)
+    tight = sum(inst["tight"] for inst in report["instances"])
+    report["tight_instances"] = tight
+    report["pass"] = report["pass"] and tight >= 1
+    return report
 
 
 def hom_instance(rng: SplitMix64, max_n: int) -> dict:
     composites = [n for n in range(4, max_n + 1)
-                  if any(n % d == 0 for d in range(2, n)) and n <= max_n]
+                  if any(n % d == 0 for d in range(2, math.isqrt(n) + 1))]
     n = rng.pick(composites)
     d = rng.pick([d for d in _divisors(n) if 1 < d < n])
     group = make_group([n], "counting")
@@ -180,123 +184,98 @@ def hom_instance(rng: SplitMix64, max_n: int) -> dict:
                      "omega_minus": omega_minus.elements()}}
 
 
+def _hom_case(rng: SplitMix64, max_n: int) -> dict:
+    inst = hom_instance(rng, max_n)
+    rep = verify_homomorphism_bound(inst["group"], inst["k"], inst["omega_plus"],
+                                    inst["omega_minus"])
+    return {**inst["desc"], "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
+
+
 def run_hom_suite(count: int, seed: int, max_n: int = 24) -> dict:
-    _check_sizes(count, max_n, 4)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    for i in range(count):
-        inst = hom_instance(rng, max_n)
-        rep = verify_homomorphism_bound(inst["group"], inst["k"], inst["omega_plus"],
-                                        inst["omega_minus"])
-        failures += not rep["pass"]
-        instances.append({"index": i, **inst["desc"], "lhs": rep["lhs"], "rhs": rep["rhs"],
-                          "pass": rep["pass"]})
-    return {"suite": "hom", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "pass": failures == 0, "instances": instances}
+    return _run_suite("hom", count, seed, max_n, 4, _hom_case)
+
+
+def _product_case(rng: SplitMix64, max_n: int) -> dict:
+    n1 = 2 + rng.below(max_n - 1)
+    n2 = 2 + rng.below(max_n - 1)
+    g1 = make_group([n1], "probability")
+    g2 = make_group([n2], "probability")
+    o1p = SymSet(g1, symmetric_mask(rng, g1, include_zero=True))
+    o2p = SymSet(g2, symmetric_mask(rng, g2, include_zero=True))
+    o1m = SymSet(g1, symmetric_mask(rng, g1, include_zero=rng.chance(1, 2)))
+    o2m = SymSet(g2, symmetric_mask(rng, g2, include_zero=rng.chance(1, 2)))
+    rep = verify_product_bound(g1, g2, (o1p, o2p), (o1m, o2m))
+    return {"n1": n1, "n2": n2, "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
 
 
 def run_product_suite(count: int, seed: int, max_n: int = 7) -> dict:
-    _check_sizes(count, max_n, 2)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    for i in range(count):
-        n1 = 2 + rng.below(max_n - 1)
-        n2 = 2 + rng.below(max_n - 1)
-        g1 = make_group([n1], "probability")
-        g2 = make_group([n2], "probability")
-        o1p = SymSet(g1, symmetric_mask(rng, g1, include_zero=True))
-        o2p = SymSet(g2, symmetric_mask(rng, g2, include_zero=True))
-        o1m = SymSet(g1, symmetric_mask(rng, g1, include_zero=rng.chance(1, 2)))
-        o2m = SymSet(g2, symmetric_mask(rng, g2, include_zero=rng.chance(1, 2)))
-        rep = verify_product_bound(g1, g2, (o1p, o2p), (o1m, o2m))
-        failures += not rep["pass"]
-        instances.append({"index": i, "n1": n1, "n2": n2, "lhs": rep["lhs"],
-                          "rhs": rep["rhs"], "pass": rep["pass"]})
-    return {"suite": "product", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "pass": failures == 0, "instances": instances}
+    return _run_suite("product", count, seed, max_n, 2, _product_case, factors=2)
+
+
+def _auto_case(rng: SplitMix64, max_n: int) -> dict:
+    n = 3 + rng.below(max_n - 2)
+    group = make_group([n], "probability")
+    units = [u for u in range(1, n) if np.gcd(u, n) == 1]
+    u = rng.pick(units)
+    op = SymSet(group, symmetric_mask(rng, group, include_zero=True))
+    om = SymSet(group, symmetric_mask(rng, group, include_zero=rng.chance(1, 2)))
+    rep = verify_automorphism_invariance(group, u, op, om)
+    return {"n": n, "unit": u, "value": rep["value"], "mapped_value": rep["mapped_value"],
+            "pass": rep["pass"]}
 
 
 def run_auto_suite(count: int, seed: int, max_n: int = 30) -> dict:
-    _check_sizes(count, max_n, 3)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    for i in range(count):
-        n = 3 + rng.below(max_n - 2)
-        group = make_group([n], "probability")
-        units = [u for u in range(1, n) if np.gcd(u, n) == 1]
-        u = rng.pick(units)
-        op = SymSet(group, symmetric_mask(rng, group, include_zero=True))
-        om = SymSet(group, symmetric_mask(rng, group, include_zero=rng.chance(1, 2)))
-        rep = verify_automorphism_invariance(group, u, op, om)
-        failures += not rep["pass"]
-        instances.append({"index": i, "n": n, "unit": u, "value": rep["value"],
-                          "mapped_value": rep["mapped_value"], "pass": rep["pass"]})
-    return {"suite": "auto", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "pass": failures == 0, "instances": instances}
+    return _run_suite("auto", count, seed, max_n, 3, _auto_case)
+
+
+def _density_case(rng: SplitMix64, max_n: int) -> dict:
+    n = 2 + rng.below(max_n - 1)
+    group = make_group([n], "probability")
+    h_size = 1 + rng.below(max(1, n // 2))
+    h = sorted({rng.below(n) for _ in range(h_size)} | {0})
+    lam_size = 1 + rng.below(max(1, n // 2))
+    lam = sorted({rng.below(n) for _ in range(lam_size)})
+    rep = density_bounds_check(group, h, lam)
+    # strict packing is equivalent to all cover counts <= 1
+    counts_ok = (packs_strict(group, h, lam)
+                 == bool(np.max(shift_counts(group, h, lam), initial=0) <= 1))
+    return {"n": n, "h": h, "lam": lam, "pass": rep["pass"] and counts_ok,
+            "auud": rep["auud"], "packs_strict": rep["packs_strict"], "covers": rep["covers"]}
 
 
 def run_density_suite(count: int, seed: int, max_n: int = 40) -> dict:
-    _check_sizes(count, max_n, 2)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    for i in range(count):
-        n = 2 + rng.below(max_n - 1)
-        group = make_group([n], "probability")
-        h_size = 1 + rng.below(max(1, n // 2))
-        h = sorted({rng.below(n) for _ in range(h_size)} | {0})
-        lam_size = 1 + rng.below(max(1, n // 2))
-        lam = sorted({rng.below(n) for _ in range(lam_size)})
-        rep = density_bounds_check(group, h, lam)
-        # strict packing is equivalent to all cover counts <= 1
-        counts_ok = (packs_strict(group, h, lam)
-                     == bool(np.max(shift_counts(group, h, lam), initial=0) <= 1))
-        ok = rep["pass"] and counts_ok
-        failures += not ok
-        instances.append({"index": i, "n": n, "h": h, "lam": lam, "pass": ok,
-                          "auud": rep["auud"], "packs_strict": rep["packs_strict"],
-                          "covers": rep["covers"]})
-    return {"suite": "density", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "pass": failures == 0, "instances": instances}
+    return _run_suite("density", count, seed, max_n, 2, _density_case)
+
+
+def _ineq_case(rng: SplitMix64, max_n: int) -> dict:
+    n = 2 + rng.below(max_n - 1)
+    group = make_group([n], "probability")
+    op = SymSet(group, symmetric_mask(rng, group, include_zero=True))
+    om = SymSet(group, symmetric_mask(rng, group, include_zero=rng.chance(1, 2)))
+    # supersets for monotonicity
+    op_big = SymSet(group, op.mask | symmetric_mask(rng, group, include_zero=True))
+    om_big = SymSet(group, om.mask | symmetric_mask(rng, group, include_zero=False))
+
+    value = two_set_constant(group, op, om).value
+    value_big = two_set_constant(group, op_big, om_big).value
+    t = turan(group, op).value
+    d = delsarte(group, op).value
+    witness = largest_packing_witness(group, op)
+    lower = len(witness) * group.weight
+
+    checks = {
+        "monotone": value <= value_big + 1e-9,
+        "turan_le_delsarte": t <= d + 1e-9,
+        "upper_by_mass": value <= op.haar_mass() + 1e-9,
+        "autocorr_lower": value >= lower - 1e-9,
+    }
+    return {"n": n, "omega_plus": op.elements(), "value": value, "checks": checks,
+            "pass": all(checks.values())}
 
 
 def run_ineq_suite(count: int, seed: int, max_n: int = 20) -> dict:
     """Monotonicity, T <= D, value <= m_G(Omega+), autocorrelation lower bound."""
-    _check_sizes(count, max_n, 2)
-    rng = SplitMix64(seed)
-    instances = []
-    failures = 0
-    for i in range(count):
-        n = 2 + rng.below(max_n - 1)
-        group = make_group([n], "probability")
-        op = SymSet(group, symmetric_mask(rng, group, include_zero=True))
-        om = SymSet(group, symmetric_mask(rng, group, include_zero=rng.chance(1, 2)))
-        # supersets for monotonicity
-        op_big = SymSet(group, op.mask | symmetric_mask(rng, group, include_zero=True))
-        om_big = SymSet(group, om.mask | symmetric_mask(rng, group, include_zero=False))
-
-        value = two_set_constant(group, op, om).value
-        value_big = two_set_constant(group, op_big, om_big).value
-        t = turan(group, op).value
-        d = delsarte(group, op).value
-        witness = largest_packing_witness(group, op)
-        lower = len(witness) * group.weight
-
-        checks = {
-            "monotone": value <= value_big + 1e-9,
-            "turan_le_delsarte": t <= d + 1e-9,
-            "upper_by_mass": value <= op.haar_mass() + 1e-9,
-            "autocorr_lower": value >= lower - 1e-9,
-        }
-        ok = all(checks.values())
-        failures += not ok
-        instances.append({"index": i, "n": n, "omega_plus": op.elements(),
-                          "value": value, "checks": checks, "pass": ok})
-    return {"suite": "ineq", "count": count, "seed": seed, "max_n": max_n,
-            "failures": failures, "pass": failures == 0, "instances": instances}
+    return _run_suite("ineq", count, seed, max_n, 2, _ineq_case)
 
 
 SUITES = {

@@ -143,9 +143,11 @@ class Group:
 
     @classmethod
     def from_json(cls, data: dict) -> "Group":
-        if not isinstance(data, dict) or "orders" not in data:
-            raise ValueError("group JSON must carry an 'orders' list")
-        return make_group(data["orders"], data.get("normalization", "counting"))
+        orders = data.get("orders") if isinstance(data, dict) else None
+        if not (isinstance(orders, list) and orders
+                and all(isinstance(n, int) and not isinstance(n, bool) for n in orders)):
+            raise ValueError("group JSON must carry 'orders', a nonempty list of integers")
+        return make_group(orders, data.get("normalization", "counting"))
 
 
 def make_group(orders: Sequence[int], normalization="counting") -> Group:
@@ -167,9 +169,6 @@ class GroupFunction:
         if v.shape != (self.group.size,):
             raise ValueError(f"value vector has shape {v.shape}, expected ({self.group.size},)")
         self.values = v
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.values - self.values[self.group.neg])) <= tol)
 
     def haar_sum(self) -> float:
         """The Haar integral weight * sum(values)."""
@@ -317,10 +316,6 @@ def difference_set(a, b, group: Group | None = None) -> SymSet:
     if isinstance(b, SymSet) and isinstance(a, SymSet) and a.group != b.group:
         raise ValueError("difference_set arguments live on different groups")
     return SymSet(group, difference_mask(group, a, b))
-
-
-def set_to_json(s: SymSet) -> list:
-    return [list(e) if isinstance(e, tuple) else e for e in s.elements()]
 
 
 def set_from_json(group: Group, data) -> SymSet:

@@ -29,19 +29,13 @@ class QuadratureError(RuntimeError):
     """Successive quadrature refinements failed to agree within tolerance."""
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    order: int = 16
-    t_max: float = 60.0
-    panel_width: float = 0.5
-    tol: float = 1e-9
-    model_range: float = 600.0  # numeric range for analytic tail-model terms
-
-    def __post_init__(self):
-        if self.order < 2 or not all(x > 0 and math.isfinite(x)
-                                     for x in (self.t_max, self.panel_width)):
-            raise ValueError("quadrature needs order >= 2 and a finite positive width "
-                             "and truncation radius")
+# Fixed quadrature settings.  The truncation radius t_max is the one value a
+# caller chooses (the CLI's --quad-t-max).
+GL_ORDER = 16         # Gauss-Legendre nodes per panel; the refinement check adds 8
+PANEL_WIDTH = 0.5
+QUAD_TOL = 1e-9
+MODEL_RANGE = 600.0   # numeric range for analytic tail-model terms
+T_MAX = 60.0
 
 
 # --------------------------------------------------------------------------
@@ -159,6 +153,14 @@ def _panel_nodes(edges: np.ndarray, order: int):
 def _linear_edges(a: float, b: float, width: float) -> np.ndarray:
     n = max(1, int(math.ceil((b - a) / width)))
     return np.linspace(a, b, n + 1)
+
+
+def _truncation_edges(t_max: float) -> np.ndarray:
+    """Panel edges of [0, t_max], after checking t_max."""
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ValueError(f"truncation radius t_max (--quad-t-max) must be finite positive, "
+                         f"got {t_max}")
+    return _linear_edges(0.0, t_max, PANEL_WIDTH)
 
 
 def _geometric_edges(a: float, b: float, width: float) -> np.ndarray:
@@ -399,11 +401,10 @@ def _osc_term_tail_slow(term: TailTerm, alpha: float, s: float, t2: float) -> fl
     return g(t2) * cw / w - gprime(t2) * sw / (w * w)
 
 
-def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray,
-               quad: Quadrature) -> np.ndarray:
+def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray) -> np.ndarray:
     """Transform of the tail model over [model.start, inf) at each s, unnormalized."""
     u0 = model.start
-    t2 = max(quad.model_range, u0)
+    t2 = max(MODEL_RANGE, u0)
     const_terms = [t for t in model.terms if t.kind == "const"]
     osc_terms = [t for t in model.terms if t.kind != "const"]
     totals = _const_terms_tail(const_terms, alpha, s_values, u0)
@@ -431,7 +432,7 @@ def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray,
     return totals
 
 
-def hankel_grid(profile: Callable, alpha: float, s_values, quad: Quadrature,
+def hankel_grid(profile: Callable, alpha: float, s_values, t_max: float = T_MAX,
                 tail: Optional[TailModel] = None) -> tuple[np.ndarray, dict]:
     """(H_alpha profile)(s) on a grid of s values, with an info dict.
 
@@ -442,14 +443,14 @@ def hankel_grid(profile: Callable, alpha: float, s_values, quad: Quadrature,
     if alpha < -0.5:
         raise ValueError(f"order alpha = {alpha} below -1/2")
     s_values = np.atleast_1d(np.asarray(s_values, dtype=np.float64))
-    edges = _linear_edges(0.0, quad.t_max, quad.panel_width)
+    edges = _truncation_edges(t_max)
     results = np.zeros_like(s_values)
     errors = np.zeros_like(s_values)
     norm = _hankel_norm(alpha)
 
-    tail_vals = _tail_grid(tail, alpha, s_values, quad) if tail is not None else None
+    tail_vals = _tail_grid(tail, alpha, s_values) if tail is not None else None
 
-    orders = (quad.order, quad.order + 8)
+    orders = (GL_ORDER, GL_ORDER + 8)
     node_sets = [_panel_nodes(edges, o) for o in orders]
     f_vals = []
     for nodes, _ in node_sets:
@@ -470,46 +471,38 @@ def hankel_grid(profile: Callable, alpha: float, s_values, quad: Quadrature,
         results[i] = norm * value
         errors[i] = norm * err
         scale = 1.0 + abs(results[i])
-        if err * norm > max(quad.tol, 1e-12 * scale) * scale * 10:
+        if err * norm > max(QUAD_TOL, 1e-12 * scale) * scale * 10:
             raise QuadratureError(
                 f"quadrature refinement disagreement {err * norm:.3e} at s = {s}"
             )
 
     info = {"max_refinement_diff": float(np.max(errors, initial=0.0)),
-            "truncated_at": quad.t_max,
+            "truncated_at": t_max,
             "tail_model": tail is not None}
     if tail is None:
         # report a crude power-law truncation estimate from the integrand edge
-        t_edge = quad.t_max
-        probe = abs(float(np.asarray(profile(np.asarray([t_edge])), dtype=np.float64)[0]))
-        info["truncation_estimate"] = probe * t_edge ** (2.0 * alpha + 1.0) * t_edge
+        probe = abs(float(np.asarray(profile(np.asarray([t_max])), dtype=np.float64)[0]))
+        info["truncation_estimate"] = probe * t_max ** (2.0 * alpha + 1.0) * t_max
     return results, info
 
 
-def hankel_transform(profile: Callable, alpha: float, s: float,
-                     quad: Quadrature | None = None,
-                     tail: Optional[TailModel] = None,
-                     with_info: bool = False):
+def hankel_transform(profile: Callable, alpha: float, s: float, t_max: float = T_MAX,
+                     tail: Optional[TailModel] = None) -> float:
     """Fourier-Bessel transform
     (H_alpha F)(s) = (1 / (2^alpha Gamma(alpha+1))) * integral_0^inf F(u) j_alpha(su) u^(2 alpha + 1) du,
-    truncated at t_max with an optional analytic tail model.
-
-    With with_info=True also returns the refinement/truncation estimates.
+    truncated at t_max with an optional analytic tail model.  ``hankel_grid``
+    also returns the refinement/truncation estimates.
     """
-    quad = quad or Quadrature()
-    values, info = hankel_grid(profile, alpha, [s], quad, tail)
-    if with_info:
-        return float(values[0]), info
+    values, _ = hankel_grid(profile, alpha, [s], t_max, tail)
     return float(values[0])
 
 
-def yudin_hat_grid(d: int, s_values, quad: Quadrature | None = None) -> np.ndarray:
+def yudin_hat_grid(d: int, s_values, t_max: float = T_MAX) -> np.ndarray:
     """Spectrum of the Yudin bump: (H_{d/2-1} Y_d)(s), tail-corrected."""
     if d < 1:
         raise ValueError("dimension must be a positive integer")
-    quad = quad or Quadrature()
     values, _ = hankel_grid(lambda u: np.atleast_1d(yudin_Y(d, u)), d / 2.0 - 1.0,
-                            s_values, quad, tail=yudin_tail_model(d))
+                            s_values, t_max, tail=yudin_tail_model(d))
     return values
 
 
@@ -537,68 +530,62 @@ def sphere_transform(d: int, s) -> np.ndarray | float:
 # the Gorbachev tail function H
 # --------------------------------------------------------------------------
 
-def gorbachev_H_grid(d: int, ts, quad: Quadrature | None = None) -> tuple[np.ndarray, dict]:
+def gorbachev_H_grid(d: int, ts, t_max: float = T_MAX) -> tuple[np.ndarray, dict]:
     """H(t) = integral_t^inf s Y_{d+2}(s) ds on a grid, truncated at t_max with
     the analytic tail model beyond; the model residual scale is reported."""
     if d < 1:
         raise ValueError("dimension must be a positive integer")
-    quad = quad or Quadrature()
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):
         raise ValueError("arguments must be nonnegative")
-    model = gorbachev_tail_model(d, start=quad.t_max)
-    tail_at_tmax = float(np.sum([t.eval(np.asarray([quad.t_max]))[0] for t in model.terms]))
-    beyond = ts > quad.t_max
-
-    knots = np.unique(np.concatenate([ts[~beyond], _linear_edges(0.0, quad.t_max, quad.panel_width)]))
-    knots = knots[knots <= quad.t_max]
-    if knots[-1] < quad.t_max:
-        knots = np.append(knots, quad.t_max)
+    edges = _truncation_edges(t_max)
+    model = gorbachev_tail_model(d, start=t_max)
+    tail_at_tmax = float(model.eval(np.asarray([t_max]))[0])
+    beyond = ts > t_max
+    # the edges end at t_max exactly, so the knots do too
+    knots = np.unique(np.concatenate([ts[~beyond], edges]))
 
     def integrand(u):
         return u * np.atleast_1d(yudin_Y(d + 2, u))
 
     panel_vals = []
-    for order in (quad.order, quad.order + 8):
+    for order in (GL_ORDER, GL_ORDER + 8):
         nodes, weights = _panel_nodes(knots, order)
         fv = integrand(nodes)
         per_panel = (weights * fv).reshape(len(knots) - 1, order).sum(axis=1)
         panel_vals.append(per_panel)
     err = float(np.max(np.abs(panel_vals[1] - panel_vals[0]), initial=0.0))
-    if err > quad.tol * 10:
+    if err > QUAD_TOL * 10:
         raise QuadratureError(f"panel refinement disagreement {err:.3e} in H")
     suffix = np.concatenate([np.cumsum(panel_vals[1][::-1])[::-1], [0.0]])
     out = np.empty_like(ts)
     pos = np.searchsorted(knots, ts[~beyond])
     out[~beyond] = suffix[pos] + tail_at_tmax
-    if np.any(beyond):
-        tb = ts[beyond]
-        out[beyond] = np.sum([t.eval(tb) for t in model.terms], axis=0)
+    out[beyond] = model.eval(ts[beyond])
 
     nu = d / 2.0
     a, _, _ = _asym_constants(nu)
-    est = (a * bessel_first_zero(nu)) ** 2 * quad.t_max ** (-(d + 4.0))
+    est = (a * bessel_first_zero(nu)) ** 2 * t_max ** (-(d + 4.0))
     return out, {"tail_at_tmax": tail_at_tmax, "model_residual_scale": est,
                  "refinement_diff": err}
 
 
-def gorbachev_H(d: int, t: float, quad: Quadrature | None = None) -> float:
-    values, _ = gorbachev_H_grid(d, [t], quad)
+def gorbachev_H(d: int, t: float, t_max: float = T_MAX) -> float:
+    values, _ = gorbachev_H_grid(d, [t], t_max)
     return float(values[0])
 
 
-def gorbachev_H_report(d: int, ts=None, quad: Quadrature | None = None, grid=None) -> dict:
+def gorbachev_H_report(d: int, ts=None, t_max: float = T_MAX, grid=None) -> dict:
     """Sign/monotonicity of H beyond q_{d/2} and boundedness of H(t) t^(d+1).
 
-    ``grid`` is the (values, info) pair of ``gorbachev_H_grid(d, ts, quad)``
+    ``grid`` is the (values, info) pair of ``gorbachev_H_grid(d, ts, t_max)``
     when the caller has computed it already.
     """
-    quad = quad or Quadrature()
     q = bessel_first_zero(d / 2.0)
     if ts is None:
         ts = np.linspace(q, 50.0, 400)
     ts = np.asarray(ts, dtype=np.float64)
-    values, info = gorbachev_H_grid(d, ts, quad) if grid is None else grid
+    values, info = gorbachev_H_grid(d, ts, t_max) if grid is None else grid
     negative = bool(np.max(values) < 0.0)
     nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
     window = (ts >= 20.0) & (ts <= 50.0)

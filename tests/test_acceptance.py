@@ -23,7 +23,6 @@ from pdextremal.fuzz import SUITES
 from pdextremal.groups import GroupFunction, SymSet, make_group
 from pdextremal.posdef import is_posdef
 from pdextremal.radial import (
-    Quadrature,
     bessel_first_zero,
     bessel_j,
     gorbachev_H_grid,
@@ -163,7 +162,6 @@ def test_criterion_7_posdef_oracle_500():
 
 def test_criterion_8_radial():
     t0 = time.perf_counter()
-    quad = Quadrature()
     checks = {}
 
     checks["q0"] = abs(bessel_first_zero(0.0) - 2.404825558) <= 1e-8
@@ -207,7 +205,7 @@ def test_criterion_8_radial():
     s_grid = np.linspace(0.0, 3.0, 61)
     ok_hat = True
     for d in (1, 2, 3):
-        vals = yudin_hat_grid(d, s_grid, quad)
+        vals = yudin_hat_grid(d, s_grid)
         ok_hat &= bool(np.min(vals) >= -1e-5)
         ok_hat &= bool(np.max(np.abs(vals[s_grid > 2.05])) <= 1e-4)
         ok_hat &= bool(abs(vals[0]) <= 1e-5)
@@ -217,12 +215,12 @@ def test_criterion_8_radial():
     s_hy = np.linspace(0.0, 3.0, 31)
     for d in (1, 2):
         def h_profile(u, d=d):
-            vals, _ = gorbachev_H_grid(d, u, quad)
+            vals, _ = gorbachev_H_grid(d, u)
             return vals
 
-        lhs, _ = hankel_grid(h_profile, d / 2 - 1, s_hy, quad, tail=gorbachev_tail_model(d))
+        lhs, _ = hankel_grid(h_profile, d / 2 - 1, s_hy, tail=gorbachev_tail_model(d))
         rhs, _ = hankel_grid(lambda u: np.atleast_1d(yudin_Y(d + 2, u)), d / 2,
-                             s_hy, quad, tail=yudin_tail_model(d + 2))
+                             s_hy, tail=yudin_tail_model(d + 2))
         ok_hy &= bool(np.max(np.abs(lhs - rhs)) <= 1e-5)
     checks["hy_connection"] = ok_hy
 

@@ -146,6 +146,37 @@ def test_density_search_and_shadow(capsys):
     assert payload["result"]["density"]["value"] == pytest.approx(0.4)
 
 
+def assert_usage_error(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "auud", "--residues", "5"],
+    ["density", "auud", "--residues", "null"],
+    ["density", "auud", "--residues", "[1.5, true]"],
+    ["density", "search", "--forbidden", "5"],
+    ["density", "search", "--forbidden", "[[1]]"],
+    ["density", "search", "--forbidden", "[1.5]"],
+    ["density", "shadow", "--intervals", "5"],
+    ["density", "shadow", "--intervals", "[5]"],
+    ["density", "shadow", "--intervals", "[[0, Infinity]]"],
+    ["density", "shadow", "--intervals", "[[true, 3]]"],
+    ["density", "shadow", "--intervals", "[[0, 1e300]]"],
+])
+def test_density_rejects_bad_inputs(capsys, argv):
+    assert_usage_error(capsys, argv, argv[2])
+
+
+@pytest.mark.parametrize("orders", ["5", "[]", "[2.5]", "[true, 3]", '["6"]', "null"])
+def test_group_orders_must_be_integers(capsys, orders):
+    assert_usage_error(capsys, ["constant", "--group", '{"orders": %s}' % orders,
+                                "--omega-plus", "[0]"], "'orders'")
+
+
 def test_usage_error_exits_one(capsys):
     assert cli.main(["constant", "--group", "{}", "--omega-plus", "[0]"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -174,6 +205,8 @@ def test_verify_honours_smallest_max_n(capsys):
     ["verify", "tile", "--max-n", "0"],
     ["verify", "main", "--max-n", "2"],
     ["verify", "ineq", "--fuzz", "-5"],
+    ["verify", "main", "--max-n", "100000000000000000000"],
+    ["verify", "hom", "--max-n", "3000000000"],
 ])
 def test_verify_rejects_bad_sizes(capsys, argv):
     code = cli.main(argv)
@@ -181,6 +214,14 @@ def test_verify_rejects_bad_sizes(capsys, argv):
     assert code == 1  # a usage error, not a verification failure
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "hom", "--max-n", "2049"], "(--max-n) must be at most 2048"),
+    (["verify", "product", "--max-n", "46"], "(--max-n) must be at most 45"),
+])
+def test_verify_limits_group_size(capsys, argv, message):
+    assert_usage_error(capsys, argv, message)
 
 
 @pytest.mark.parametrize("table", ["yudin", "hankel", "gorbachev-h", "ball-transform"])
@@ -208,6 +249,8 @@ def test_radial_rejects_nonpositive_step(capsys, table, step):
     (["radial", "gorbachev-h", "--t-max", "inf"], "--t-max must be finite"),
     (["radial", "hankel", "--s-max", "inf"], "--s-max must be finite"),
     (["radial", "hankel", "--s-max", "nan"], "--s-max must be finite"),
+    (["radial", "yudin", "--t-max", "1e300"], "--t-max = 1e+300 with --step = 0.05 gives more"),
+    (["radial", "hankel", "--step", "1e-300"], "--s-max = 3.0 with --step = 1e-300 gives more"),
 ])
 def test_radial_rejects_bad_inputs(capsys, argv, message):
     code = cli.main(argv)

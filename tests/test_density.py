@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,26 @@ def test_integer_shadow_example():
     assert integer_shadow([]) == []
     with pytest.raises(ValueError):
         integer_shadow([[2, 1]])
+
+
+def test_integer_shadow_matches_scan():
+    rng = np.random.default_rng(5)
+    ends = np.concatenate([np.arange(-6.0, 7.0), rng.uniform(-6.0, 6.0, 12)])
+    for lo in ends:
+        for hi in ends[ends >= lo]:
+            for closed in (False, True):
+                want = sorted({abs(k) for k in range(-8, 9) if k
+                               and ((lo <= k <= hi) if closed else (lo < k < hi))})
+                assert integer_shadow([[lo, hi]], closed=closed) == want
+
+
+def test_integer_shadow_limits_interval_size():
+    assert len(integer_shadow([[0, 1_000_001]])) == 1_000_000
+    with pytest.raises(ValueError, match="more than 1000000 integers"):
+        integer_shadow([[0, 1_000_000]], closed=True)
+    for bad in ([0, math.inf], [math.nan, 1]):
+        with pytest.raises(ValueError, match="finite"):
+            integer_shadow([bad])
 
 
 def test_max_density_search_examples():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdextremal.radial import (
-    Quadrature,
     bessel_first_zero,
     bessel_j,
     ball_char_transform,
@@ -20,8 +19,6 @@ from pdextremal.radial import (
     yudin_sign_check,
     yudin_tail_model,
 )
-
-QUAD = Quadrature()
 
 
 # -- independent oracles -----------------------------------------------------
@@ -184,19 +181,19 @@ def test_hankel_ball_indicator():
         alpha = d / 2 - 1
         for s in (0.5, 1.0, 3.0, 7.0):
             got = (2 * math.pi) ** (d / 2) * hankel_transform(
-                lambda u: (u <= 1.0).astype(float), alpha, s, QUAD)
+                lambda u: (u <= 1.0).astype(float), alpha, s)
             assert got == pytest.approx(float(ball_char_transform(d, s)), abs=1e-7)
 
 
 def test_hankel_zero_profile():
-    assert hankel_transform(lambda u: np.zeros_like(u), 0.5, 1.3, QUAD) == 0.0
+    assert hankel_transform(lambda u: np.zeros_like(u), 0.5, 1.3) == 0.0
 
 
 def test_hankel_reports_truncation_estimate():
-    value, info = hankel_transform(lambda u: np.exp(-u), 0.0, 1.0, QUAD, with_info=True)
-    assert info["truncated_at"] == QUAD.t_max
+    values, info = hankel_grid(lambda u: np.exp(-u), 0.0, [1.0])
+    assert info["truncated_at"] == 60.0
     assert "truncation_estimate" in info and info["truncation_estimate"] >= 0.0
-    assert value == pytest.approx((1 + 1.0**2) ** -1.5, abs=1e-9)  # known transform
+    assert values[0] == pytest.approx((1 + 1.0**2) ** -1.5, abs=1e-9)  # known transform
 
 
 def test_hankel_rejects_unresolvable_integrand():
@@ -204,25 +201,23 @@ def test_hankel_rejects_unresolvable_integrand():
 
     # phase ~ u^3 oscillates far below any fixed panel resolution near t_max
     with pytest.raises(QuadratureError):
-        hankel_transform(lambda u: np.sin(u**3), 0.0, 1.0, QUAD)
+        hankel_transform(lambda u: np.sin(u**3), 0.0, 1.0)
 
 
 def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        Quadrature(order=1)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            Quadrature(t_max=bad)
+            yudin_hat_grid(1, [0.5], bad)
         with pytest.raises(ValueError):
-            Quadrature(panel_width=bad)
+            gorbachev_H_grid(1, [5.0], bad)
 
 
 def test_transforms_reject_nonpositive_dimension():
     for d in (0, -1):
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
-            yudin_hat_grid(d, [0.5], QUAD)
+            yudin_hat_grid(d, [0.5])
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
-            gorbachev_H_grid(d, [5.0], QUAD)
+            gorbachev_H_grid(d, [5.0])
 
 
 # s = 0 (closed form), s * 30 < 1 (geometric panels of the constant-term tail
@@ -246,9 +241,9 @@ def assert_close(got, want):
 
 def test_yudin_hat_grid_matches_pointwise():
     for d in (1, 2, 3):
-        vals = yudin_hat_grid(d, MIXED_GRID, QUAD)
+        vals = yudin_hat_grid(d, MIXED_GRID)
         for s, v in zip(MIXED_GRID, vals):
-            assert_close(v, yudin_hat_grid(d, [s], QUAD)[0])
+            assert_close(v, yudin_hat_grid(d, [s])[0])
         for pin_d, s, want in YUDIN_HAT_PINS:
             if pin_d == d:
                 assert_close(vals[int(np.argmin(np.abs(MIXED_GRID - s)))], want)
@@ -261,12 +256,12 @@ def test_hankel_grid_gorbachev_tail_matches_pointwise():
     assert all(2 * (d / 2 - 1) + 1 - t.power <= -2 for t in model.terms if t.kind == "const")
 
     def h_profile(u):
-        return gorbachev_H_grid(d, u, QUAD)[0]
+        return gorbachev_H_grid(d, u)[0]
 
     s_grid = [0.0, 0.01, 0.7, 14.0]
-    vals, _ = hankel_grid(h_profile, d / 2 - 1, s_grid, QUAD, tail=model)
+    vals, _ = hankel_grid(h_profile, d / 2 - 1, s_grid, tail=model)
     for s, v in zip(s_grid, vals):
-        assert_close(v, hankel_grid(h_profile, d / 2 - 1, [s], QUAD, tail=model)[0][0])
+        assert_close(v, hankel_grid(h_profile, d / 2 - 1, [s], tail=model)[0][0])
     assert_close(vals[2], 1.4214240562851137)
     assert_close(vals[3], -4.434181762450629e-09)
 
@@ -274,7 +269,7 @@ def test_hankel_grid_gorbachev_tail_matches_pointwise():
 def test_yudin_hat_properties():
     s_grid = np.linspace(0.0, 3.0, 61)
     for d in (1, 2, 3):
-        vals = yudin_hat_grid(d, s_grid, QUAD)
+        vals = yudin_hat_grid(d, s_grid)
         assert np.min(vals) >= -1e-5
         assert abs(vals[0]) <= 1e-5
         beyond = s_grid > 2.05
@@ -285,13 +280,13 @@ def test_hy_connection():
     s_grid = np.linspace(0.0, 3.0, 31)
     for d in (1, 2):
         def h_profile(u, d=d):
-            vals, _ = gorbachev_H_grid(d, u, QUAD)
+            vals, _ = gorbachev_H_grid(d, u)
             return vals
 
-        lhs, _ = hankel_grid(h_profile, d / 2 - 1, s_grid, QUAD,
+        lhs, _ = hankel_grid(h_profile, d / 2 - 1, s_grid,
                              tail=gorbachev_tail_model(d))
         rhs, _ = hankel_grid(lambda u: np.atleast_1d(yudin_Y(d + 2, u)), d / 2,
-                             s_grid, QUAD, tail=yudin_tail_model(d + 2))
+                             s_grid, tail=yudin_tail_model(d + 2))
         assert np.max(np.abs(lhs - rhs)) <= 1e-5
 
 
