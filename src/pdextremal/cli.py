@@ -55,6 +55,7 @@ TOLERANCES = {
 }
 
 MAX_TABLE_POINTS = 10**6
+MAX_DIMENSION = 64  # the Hankel quadrature first fails at d = 94
 
 _INTERVAL = re.compile(r"^\[(-?\d+)\s*,\s*(-?\d+)\]$")
 
@@ -72,23 +73,43 @@ def _parse_json(text: str, what: str):
         ) from exc
 
 
-def _parse_set(group: Group, text: str) -> SymSet:
+def _parse_group(text: str) -> Group:
+    data = _parse_json(text, "--group")
+    try:
+        return Group.from_json(data)
+    except ValueError as exc:
+        raise UsageError(f"--group: {exc}") from exc
+
+
+def _parse_set(group: Group, text: str, flag: str) -> SymSet:
     if text in ("empty", "all"):
         return set_from_json(group, text)
+    orders = group.orders
     m = _INTERVAL.match(text.strip())
     # a negative lower endpoint marks the interval shorthand ("[-1,1]" is
     # {-1,0,1}); a pair of plain residues like "[0,3]" stays a list
-    if m and len(group.orders) == 1 and int(m.group(1)) < 0:
+    if m and len(orders) == 1 and int(m.group(1)) < 0:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
-            raise UsageError(f"interval {text!r} has endpoints out of order")
-        return SymSet.from_elements(group, list(range(lo, hi + 1)))
-    data = _parse_json(text, "set")
-    if isinstance(data, str):
+            raise UsageError(f"{flag}: interval {text!r} has endpoints out of order")
+        # an interval of N or more integers holds every residue
+        return SymSet.from_elements(group, range(lo, min(hi, lo + orders[0] - 1) + 1))
+    data = _parse_json(text, flag)
+    if isinstance(data, str) and data in ("empty", "all"):
         return set_from_json(group, data)
     if not isinstance(data, list):
-        raise UsageError(f"set must be a list, 'empty', 'all' or an interval, got {text!r}")
-    return set_from_json(group, data)
+        raise UsageError(f"{flag} must be a list, 'empty', 'all' or an interval, got {text!r}")
+    residues = []
+    for e in data:
+        if len(orders) == 1 and _is_int(e):
+            residues.append(e % orders[0])
+        elif isinstance(e, list) and len(e) == len(orders) and all(map(_is_int, e)):
+            residues.append([c % n for c, n in zip(e, orders)])
+        else:
+            kinds = ("an integer or a list of 1 integer" if len(orders) == 1
+                     else f"a list of {len(orders)} integers")
+            raise UsageError(f"{flag}: element {json.dumps(e)} is not {kinds}")
+    return SymSet.from_elements(group, residues)
 
 
 def _jsonable(obj):
@@ -133,8 +154,8 @@ def _emit_csv(columns, rows) -> None:
 
 
 def _cmd_constant(args) -> int:
-    group = Group.from_json(_parse_json(args.group, "group"))
-    omega_plus = _parse_set(group, args.omega_plus)
+    group = _parse_group(args.group)
+    omega_plus = _parse_set(group, args.omega_plus, "--omega-plus")
     omega_minus_text = args.omega_minus
     warnings = []
     if omega_plus.symmetrized:
@@ -144,7 +165,7 @@ def _cmd_constant(args) -> int:
     elif args.kind == "delsarte":
         res = delsarte(group, omega_plus)
     else:
-        omega_minus = _parse_set(group, omega_minus_text)
+        omega_minus = _parse_set(group, omega_minus_text, "--omega-minus")
         if omega_minus.symmetrized:
             warnings.append("omega-minus was symmetrized by intersection with its negation")
         res = two_set_constant(group, omega_plus, omega_minus)
@@ -184,6 +205,8 @@ def _cmd_radial(args) -> int:
         raise UsageError(f"--step must be positive, got {args.step}")
     if args.d < 1:
         raise UsageError(f"--d: dimension must be a positive integer, got {args.d}")
+    if args.d > MAX_DIMENSION:
+        raise UsageError(f"--d: dimension must be at most {MAX_DIMENSION}, got {args.d}")
     if args.table == "yudin":
         ts = _grid(0.0, args.t_max, args.step, "--t-max")
         vals = np.atleast_1d(yudin_Y(args.d, ts))

@@ -6,18 +6,23 @@ solved on the spectral side: one nonnegative variable per conjugate character
 pair (symmetry and positive definiteness are imposed structurally, halving
 the problem), sign rows for the element orbits outside the supports, and the
 trivial character's value as the objective, which equals the Haar integral.
+Characters are paired by exact integer arithmetic: the conjugate of chi_k is
+chi_{-k}, so the pairing is the group's negation.
 
-The homomorphism/quotient verifier runs the same LP on internal
-character-table-backed views of K and G/K: K's characters are the
-deduplicated restrictions of the ambient character group, G/K's characters
-are the annihilator of K evaluated on coset representatives.  All three
-groups carry counting measure, which makes the Weil decomposition
-dm_G = dm_K dm_{G/K} exact and the measure factor equal to 1.
+Every constant is this one LP on G.  The quotient bound C_G <= C_{G/K} C_K
+(counting measure on G, K and G/K) needs the two factors, and two classical
+restriction lemmas (Rudin, Fourier Analysis on Groups, 1962) put both on G:
 
-Characters are identified and paired by exact integer arithmetic, never by
-comparing floats: the conjugate of chi_k is chi_{-k}, so every view takes its
-pairing from the group's negation, and restrictions to K are deduplicated by
-their integer phase rows (``Group.char_phases``).
+* a positive definite function on a subgroup K is exactly a positive
+  definite function on G that vanishes off K, so C_K is the LP on G with
+  the sets Omega+- intersected with K;
+* a positive definite function on G/K is exactly a positive definite
+  function on G whose spectrum lies in the annihilator of K, i.e. a
+  K-periodic one, so C_{G/K} is the LP on G with the sets Omega+- + K and
+  the characters restricted to the annihilator, divided by #K (the counting
+  integral over G counts each coset #K times).
+
+Annihilator membership is an exact integer test on character phases.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Group, GroupFunction, SymSet, _as_indices, difference_set
+from .groups import Group, GroupFunction, SymSet, _as_indices, difference_mask, difference_set
 from .lp import LpProblem, SolverFailure, solve
 from . import density as density_mod
 
@@ -50,89 +55,60 @@ class ExtremalResult:
     status: str  # optimal | infeasible-zero
 
 
-class _SpectralView:
-    """What the LP needs from a group: weight, negation, character rows, and
-    the conjugate pairing of those rows (table[pair] == conj(table))."""
-
-    def __init__(self, weight: float, neg: np.ndarray, char_table: np.ndarray, pair: np.ndarray):
-        self.weight = float(weight)
-        self.neg = np.asarray(neg, dtype=np.int64)
-        self.table = np.asarray(char_table, dtype=np.complex128)
-        self.pair = np.asarray(pair, dtype=np.int64)
-        self.size = self.neg.shape[0]
-        if self.table.shape != (self.size, self.size):
-            raise ValueError("character table must be square")
-
-    @classmethod
-    def of_group(cls, group: Group, weight: float | None = None) -> "_SpectralView":
-        w = group.weight if weight is None else weight
-        # conj(chi_k) = chi_{-k}
-        return cls(w, group.neg, group.char_values(np.arange(group.size)), group.neg)
-
-
-def _orbits(neg: np.ndarray):
-    reps = np.minimum(np.arange(neg.shape[0]), neg)
-    rep_list = np.unique(reps)
-    orbit_of = np.searchsorted(rep_list, reps)
-    sizes = np.bincount(orbit_of)
-    return rep_list, orbit_of, sizes
-
-
-def _solve_view(view: _SpectralView, mask_plus: np.ndarray, mask_minus: np.ndarray):
-    """Core LP on the spectral side. Returns (value, f_values, spectrum, status).
+def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
+           weight: float | None = None, chars: np.ndarray | None = None):
+    """The LP on G.  Returns (value, f_values, spectrum, status).
 
     Variables are the spectrum values per conjugate character pair, so
     positive definiteness becomes plain nonnegativity bounds; the support
     conditions become sign rows on f(x) = (1/(N w)) sum_k u_k rho_k(x),
     f(0) = 1 is a single equality, and the objective is the trivial
     character's value.  No free variables, and the feasible region is a
-    bounded slice of the nonnegative orthant.
+    bounded slice of the nonnegative orthant.  ``weight`` overrides the
+    group's Haar weight; ``chars`` is a mask of the characters the spectrum
+    may use (closed under conjugation, holding the trivial one).
     """
-    n = view.size
+    n = group.size
+    w = group.weight if weight is None else weight
     if not mask_plus[0]:
         return 0.0, np.zeros(n), np.zeros(n), "infeasible-zero"
 
-    rep_list, orbit_of, sizes = _orbits(view.neg)
-
-    pair = view.pair
-    char_reps = np.flatnonzero(np.arange(n) <= pair)
-    char_orbit_sizes = 1 + (pair[char_reps] != char_reps)
-    mchar = char_reps.shape[0]
+    neg = group.neg
+    table = group.char_values(np.arange(n))
+    # one representative per {x, -x}; conj(chi_k) = chi_{-k} pairs the characters alike
+    reps = np.flatnonzero(np.arange(n) <= neg)
+    char_reps = reps if chars is None else reps[chars[reps]]
     assert char_reps[0] == 0
 
-    # rho[k, i] = sum of the k-th conjugate character pair over element orbit i
-    fold = np.zeros((n, rep_list.shape[0]))
-    fold[np.arange(n), orbit_of] = 1.0
-    rho = (view.table[char_reps].real * char_orbit_sizes[:, None]) @ fold
+    # one row per element orbit: f(0) = 1 (scaled by N w), then a sign row
+    # for every orbit outside Omega+ or outside Omega-
+    inside_plus, inside_minus = mask_plus[reps], mask_minus[reps]
+    keep = ~(inside_plus & inside_minus)
+    keep[0] = True
+    rows = reps[keep]
+    senses = np.where(inside_plus, ">=", np.where(inside_minus, "<=", "="))[keep]
+    senses[0] = "="
+    rhs = np.zeros(rows.shape[0])
+    rhs[0] = n * w
 
-    rows = [rho[:, 0]]  # f(0) = 1, scaled by N w
-    rhs = [n * view.weight]
-    senses = ["="]
-    for i in range(1, rep_list.shape[0]):
-        inside_plus = bool(mask_plus[rep_list[i]])
-        inside_minus = bool(mask_minus[rep_list[i]])
-        if inside_plus and inside_minus:
-            continue
-        rows.append(rho[:, i])
-        rhs.append(0.0)
-        if not inside_plus and not inside_minus:
-            senses.append("=")
-        elif not inside_plus:
-            senses.append("<=")
-        else:
-            senses.append(">=")
+    # rho_k(x) = the k-th conjugate character pair summed over the orbit of x
+    re = table.real[char_reps]
+    paired = neg[rows] != rows
+    rho = re[:, rows]
+    rho[:, paired] += re[:, neg[rows[paired]]]
+    rho *= 1 + (neg[char_reps] != char_reps)[:, None]
 
-    c = np.zeros(mchar)
+    c = np.zeros(char_reps.shape[0])
     c[0] = 1.0  # the trivial-character value is the Haar integral of f
-    sol = solve(LpProblem(c, np.asarray(rows), np.asarray(rhs), senses))
+    sol = solve(LpProblem(c, rho.T, rhs, senses.tolist()))
     if sol.status != "optimal":
         raise SolverFailure(f"extremal LP ended with status {sol.status}")
 
     value = float(sol.objective_value)
-    spectrum = np.empty(n)
+    spectrum = np.zeros(n)
     spectrum[char_reps] = sol.x
-    spectrum[pair[char_reps]] = sol.x
-    f_values = (view.table.T @ spectrum).real / (n * view.weight)
+    spectrum[neg[char_reps]] = sol.x
+    f_values = (table.T @ spectrum).real / (n * w)
     return value, f_values, spectrum, "optimal"
 
 
@@ -141,9 +117,7 @@ def two_set_constant(group: Group, omega_plus: SymSet, omega_minus: SymSet) -> E
     for s in (omega_plus, omega_minus):
         if s.group != group:
             raise ValueError("sets must live on the given group")
-    value, f_values, spectrum, status = _solve_view(
-        _SpectralView.of_group(group), omega_plus.mask, omega_minus.mask
-    )
+    value, f_values, spectrum, status = _solve(group, omega_plus.mask, omega_minus.mask)
     return ExtremalResult(value, GroupFunction(group, f_values), spectrum, status)
 
 
@@ -208,73 +182,30 @@ def verify_main_theorem(group: Group, omega_plus: SymSet, lam) -> dict:
     }
 
 
-def _subgroup_view(group: Group, k_indices: np.ndarray) -> tuple[_SpectralView, np.ndarray]:
-    """Counting-measure view of a subgroup, via deduplicated character restrictions."""
-    k_indices = np.sort(np.asarray(k_indices, dtype=np.int64))
-    neg = np.searchsorted(k_indices, group.neg[k_indices])
-
-    # characters of G agree on K exactly when their integer phase rows on K
-    # agree; keep one per class, in first-occurrence order
-    phases = group.char_phases(np.arange(group.size), k_indices)
-    _, first, inverse = np.unique(phases, axis=0, return_index=True, return_inverse=True)
-    if first.shape[0] != k_indices.shape[0]:
-        raise ValueError("restriction did not produce #K distinct characters; K is not a subgroup")
-    order = np.argsort(first)
-    reps = first[order]
-    rank = np.argsort(order)  # unique-row id -> position among reps
-    pair = rank[inverse[group.neg[reps]]]
-    return _SpectralView(1.0, neg, group.char_values(reps, k_indices), pair), k_indices
-
-
-def _quotient_view(group: Group, k_indices: np.ndarray):
-    """Counting-measure view of G/K: cosets as elements, annihilator characters."""
-    n = group.size
-    k_indices = np.asarray(k_indices, dtype=np.int64)
-    rep = group.add_index(np.arange(n)[:, None], k_indices[None, :]).min(axis=1)
-    rep_list = np.unique(rep)
-    coset_of = np.searchsorted(rep_list, rep)
-    neg = coset_of[rep[group.neg[rep_list]]]
-
-    # annihilator membership is an exact integer test on character phases
-    phases = group.char_phases(np.arange(n), k_indices)
-    ann = np.flatnonzero(np.all(phases % group.char_lcm == 0, axis=1))
-    if ann.shape[0] != n // len(k_indices):
-        raise ValueError("annihilator size mismatch; K is not a subgroup")
-    table = group.char_values(ann, rep_list)
-    pair = np.searchsorted(ann, group.neg[ann])
-    return _SpectralView(1.0, neg, table, pair), rep_list, coset_of
-
-
-def _is_subgroup(group: Group, k_indices: np.ndarray) -> bool:
-    kset = set(int(x) for x in k_indices)
-    if 0 not in kset or len(kset) == 0:
-        return False
-    arr = np.asarray(sorted(kset), dtype=np.int64)
-    diffs = group.sub_index(arr[:, None], arr[None, :])
-    return set(int(x) for x in diffs.ravel()) <= kset
+def _is_subgroup(group: Group, k_mask: np.ndarray) -> bool:
+    k = np.flatnonzero(k_mask)
+    return bool(k_mask[0]) and bool(np.all(k_mask[group.sub_index(k[:, None], k[None, :])]))
 
 
 def verify_homomorphism_bound(group: Group, k_subgroup, omega_plus: SymSet,
                               omega_minus: SymSet) -> dict:
     """C_G <= C_{G/K} * C_K with counting measure on G, K and G/K."""
-    k_indices = _as_indices(group, k_subgroup)
-    if not _is_subgroup(group, k_indices):
+    k_mask = np.zeros(group.size, dtype=bool)
+    k_mask[_as_indices(group, k_subgroup)] = True
+    if not _is_subgroup(group, k_mask):
         raise ValueError("K is not a subgroup of G")
+    plus, minus = omega_plus.mask, omega_minus.mask
+    k = np.flatnonzero(k_mask)
 
-    g_view = _SpectralView.of_group(group, weight=1.0)
-    value_g, *_ = _solve_view(g_view, omega_plus.mask, omega_minus.mask)
-
-    k_view, k_sorted = _subgroup_view(group, k_indices)
-    mask_plus_k = omega_plus.mask[k_sorted]
-    mask_minus_k = omega_minus.mask[k_sorted]
-    value_k, *_ = _solve_view(k_view, mask_plus_k, mask_minus_k)
-
-    q_view, rep_list, coset_of = _quotient_view(group, k_sorted)
-    mask_plus_q = np.zeros(q_view.size, dtype=bool)
-    mask_plus_q[coset_of[omega_plus.indices]] = True
-    mask_minus_q = np.zeros(q_view.size, dtype=bool)
-    mask_minus_q[coset_of[omega_minus.indices]] = True
-    value_q, *_ = _solve_view(q_view, mask_plus_q, mask_minus_q)
+    value_g, *_ = _solve(group, plus, minus, weight=1.0)
+    # pd on K = pd on G vanishing off K
+    value_k, *_ = _solve(group, plus & k_mask, minus & k_mask, weight=1.0)
+    # pd on G/K = pd on G with spectrum in the annihilator of K; the sum
+    # over G counts each coset #K times
+    annihilator = np.all(group.char_phases(np.arange(group.size), k) == 0, axis=1)
+    value_q, *_ = _solve(group, difference_mask(group, plus, k), difference_mask(group, minus, k),
+                         weight=1.0, chars=annihilator)
+    value_q /= k.size
 
     rhs = value_q * value_k
     return {

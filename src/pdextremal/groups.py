@@ -18,9 +18,12 @@ ElementLike = Union[int, Sequence[int]]
 
 _CHUNK = 1 << 18  # cap on phase-matrix entries per DFT block
 
+# largest group read from JSON: the extremal LP holds the dense N x N complex
+# character table, 16 N^2 bytes (256 MiB at this size)
+MAX_JSON_GROUP = 4096
 
-def _resolve_weight(orders: Sequence[int], normalization) -> float:
-    n = int(np.prod(orders, dtype=np.int64))
+
+def _resolve_weight(n: int, normalization) -> float:
     if normalization == "probability":
         return 1.0 / n
     if normalization == "counting":
@@ -54,7 +57,7 @@ class Group:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.orders, dtype=np.int64))
+        return math.prod(self.orders)
 
     @property
     def total_mass(self) -> float:
@@ -147,6 +150,10 @@ class Group:
         if not (isinstance(orders, list) and orders
                 and all(isinstance(n, int) and not isinstance(n, bool) for n in orders)):
             raise ValueError("group JSON must carry 'orders', a nonempty list of integers")
+        size = math.prod(orders)
+        if min(orders) >= 1 and size > MAX_JSON_GROUP:
+            raise ValueError(f"'orders' {orders} give a group of {size} elements; "
+                             f"at most {MAX_JSON_GROUP} are supported")
         return make_group(orders, data.get("normalization", "counting"))
 
 
@@ -154,7 +161,8 @@ def make_group(orders: Sequence[int], normalization="counting") -> Group:
     """Build Z_{n1} x ... x Z_{nk} with the given Haar normalization."""
     if orders is None or len(orders) == 0:
         raise ValueError("order list must be nonempty")
-    return Group(tuple(int(n) for n in orders), _resolve_weight(orders, normalization))
+    group = Group(tuple(int(n) for n in orders), 1.0)  # checks the orders first
+    return Group(group.orders, _resolve_weight(group.size, normalization))
 
 
 @dataclass

@@ -35,6 +35,7 @@ GL_ORDER = 16         # Gauss-Legendre nodes per panel; the refinement check add
 PANEL_WIDTH = 0.5
 QUAD_TOL = 1e-9
 MODEL_RANGE = 600.0   # numeric range for analytic tail-model terms
+TAIL_START = 30.0     # radius from which the large-argument tail models hold
 T_MAX = 60.0
 
 
@@ -156,10 +157,14 @@ def _linear_edges(a: float, b: float, width: float) -> np.ndarray:
 
 
 def _truncation_edges(t_max: float) -> np.ndarray:
-    """Panel edges of [0, t_max], after checking t_max."""
-    if not (t_max > 0 and math.isfinite(t_max)):
+    """Panel edges of [0, t_max], after checking t_max.
+
+    Below TAIL_START the tail models do not hold yet, and beyond MODEL_RANGE
+    the tail-model terms are no longer integrated numerically.
+    """
+    if not TAIL_START <= t_max <= MODEL_RANGE:
         raise ValueError(f"truncation radius t_max (--quad-t-max) must be finite positive, "
-                         f"got {t_max}")
+                         f"from {TAIL_START} to {MODEL_RANGE}; got {t_max}")
     return _linear_edges(0.0, t_max, PANEL_WIDTH)
 
 
@@ -251,7 +256,7 @@ def _asym_constants(nu: float) -> tuple[float, float, float]:
     return a, nu * math.pi / 2.0 + math.pi / 4.0, 4.0 * nu * nu
 
 
-def yudin_tail_model(m: int, start: float = 30.0) -> TailModel:
+def yudin_tail_model(m: int, start: float = TAIL_START) -> TailModel:
     """Large-argument model of Y_m: envelope -A^2 q^2 u^(-(m+1)) with its
     second-order corrections and the cos/sin(2u - 2 beta) oscillations."""
     nu = m / 2.0 - 1.0
@@ -270,7 +275,7 @@ def yudin_tail_model(m: int, start: float = 30.0) -> TailModel:
     return TailModel(start, tuple(t for t in terms if t.coef != 0.0))
 
 
-def gorbachev_tail_model(d: int, start: float = 30.0) -> TailModel:
+def gorbachev_tail_model(d: int, start: float = TAIL_START) -> TailModel:
     """Large-argument model of H(t) = integral_t^inf s Y_{d+2}(s) ds."""
     nu = d / 2.0
     a, beta, mu = _asym_constants(nu)

@@ -177,6 +177,50 @@ def test_group_orders_must_be_integers(capsys, orders):
                                 "--omega-plus", "[0]"], "'orders'")
 
 
+@pytest.mark.parametrize("orders, size", [
+    ("[100000000]", "100000000"),
+    ("[1000000000000000000000000000000]", "1000000000000000000000000000000"),
+    ("[4294967296, 4294967296]", "18446744073709551616"),  # wraps to 0 in int64
+])
+def test_group_size_is_limited(capsys, orders, size):
+    assert_usage_error(capsys, ["constant", "--group", '{"orders": %s}' % orders,
+                                "--omega-plus", "[0]"],
+                       f"--group: 'orders' {json.loads(orders)} give a group of {size} elements")
+
+
+def test_probability_group_of_order_zero_is_rejected(capsys):
+    assert_usage_error(capsys, ["constant", "--group",
+                                '{"orders": [0], "normalization": "probability"}',
+                                "--omega-plus", "[0]"], "--group: all cyclic orders must be >= 1")
+
+
+@pytest.mark.parametrize("orders, flag, text, message", [
+    ("[4, 6]", "--omega-plus", "[[0,0],[1.7,0]]", "element [1.7, 0] is not a list of 2 integers"),
+    ("[4, 6]", "--omega-plus", "[[true,false]]", "element [true, false] is not a list of 2"),
+    ("[4, 6]", "--omega-plus", "[[1e400,0]]", "element [Infinity, 0] is not a list of 2"),
+    ("[6]", "--omega-minus", "[null]", "element null is not an integer or a list of 1"),
+    ("[6]", "--omega-plus", "[0,1.5]", "element 1.5 is not an integer or a list of 1"),
+    ("[4, 6]", "--omega-plus", "[0]", "element 0 is not a list of 2 integers"),
+])
+def test_set_elements_must_be_integers(capsys, orders, flag, text, message):
+    argv = ["constant", "--group", '{"orders": %s}' % orders, "--omega-plus", "[0]",
+            "--omega-minus", "[0]"]
+    argv[argv.index(flag) + 1] = text
+    assert_usage_error(capsys, argv, f"{flag}: {message}")
+
+
+def test_set_elements_are_read_modulo_the_orders(capsys):
+    # integers beyond int64 and intervals longer than the group stay exact
+    code, out = run(capsys, ["constant", "--group", '{"orders": [4, 6]}', "--kind", "delsarte",
+                             "--omega-plus", "[[0,0],[100000000000000000000001,0],[-1,0]]"])
+    assert code == 0
+    assert json.loads(out)["result"]["omega_plus"] == [[0, 0], [1, 0], [3, 0]]
+    code, out = run(capsys, ["constant", "--group", '{"orders": [6]}', "--kind", "delsarte",
+                             "--omega-plus", "[-1,100000000000000]"])
+    assert code == 0
+    assert json.loads(out)["result"]["omega_plus"] == list(range(6))
+
+
 def test_usage_error_exits_one(capsys):
     assert cli.main(["constant", "--group", "{}", "--omega-plus", "[0]"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -251,6 +295,11 @@ def test_radial_rejects_nonpositive_step(capsys, table, step):
     (["radial", "hankel", "--s-max", "nan"], "--s-max must be finite"),
     (["radial", "yudin", "--t-max", "1e300"], "--t-max = 1e+300 with --step = 0.05 gives more"),
     (["radial", "hankel", "--step", "1e-300"], "--s-max = 3.0 with --step = 1e-300 gives more"),
+    (["radial", "hankel", "--d", "1", "--quad-t-max", "20"], "(--quad-t-max) must be finite"),
+    (["radial", "gorbachev-h", "--d", "3", "--quad-t-max", "1e-100"], "(--quad-t-max)"),
+    (["radial", "hankel", "--quad-t-max", "1e300"], "from 30.0 to 600.0; got 1e+300"),
+    (["radial", "hankel", "--d", "65"], "--d: dimension must be at most 64"),
+    (["radial", "yudin", "--d", "100"], "--d: dimension must be at most 64"),
 ])
 def test_radial_rejects_bad_inputs(capsys, argv, message):
     code = cli.main(argv)

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from pdextremal.extremal import (
-    _SpectralView,
-    _quotient_view,
-    _subgroup_view,
     ConditionViolated,
     NotAStrictTiling,
     delsarte,
@@ -325,25 +322,60 @@ def _subgroup(group, factors):
     return np.sort([group.element_index(c) for c in itertools.product(*factors)])
 
 
+def _product_case(orders, k_factors):
+    """K = prod of d_i Z_{n_i} (d_i = k_factors[i][1], or n_i for {0}) with its
+    explicit isomorphisms: K = prod Z_{n_i/d_i} by a -> (d_i a_i), and
+    G/K = prod Z_{d_i} by x -> (x_i mod d_i)."""
+    steps = [f[1] if len(f) > 1 else n for n, f in zip(orders, k_factors)]
+    k_group = make_group([n // d for n, d in zip(orders, steps)], "counting")
+    q_group = make_group(steps, "counting")
+    embed = [tuple(d * a for d, a in zip(steps, c)) for c in k_group.coords]
+    project = [tuple(x % d for x, d in zip(c, steps)) for c in make_group(list(orders)).coords]
+    return k_group, q_group, embed, project
+
+
+def _diagonal_case():
+    """K = {(a, a)} in Z_3 x Z_3: K = Z_3 by a -> (a, a), G/K = Z_3 by (a, b) -> a - b."""
+    z3 = make_group([3], "counting")
+    g = make_group([3, 3])
+    return z3, z3, [(a, a) for a in range(3)], [((a - b) % 3,) for a, b in g.coords]
+
+
 @pytest.mark.parametrize("orders, k_factors", [
     ((4, 6), ([0, 2], [0, 3])),
     ((4, 6), ([0, 1, 2, 3], [0, 2, 4])),
     ((6, 6, 2), ([0, 3], [0, 2, 4], [0, 1])),
     ((6, 6, 2), ([0, 2, 4], [0], [0, 1])),
+    ((3, 3), None),
 ])
-def test_spectral_views_pair_conjugate_characters(orders, k_factors):
+def test_homomorphism_constants_match_explicit_groups(orders, k_factors):
     g = make_group(list(orders), "counting")
-    k = _subgroup(g, k_factors)
-    k_view, _ = _subgroup_view(g, k)
-    q_view, _, _ = _quotient_view(g, k)
-    assert k_view.size == len(k) and q_view.size == g.size // len(k)
-    for view in (_SpectralView.of_group(g), k_view, q_view):
-        assert np.array_equal(view.pair[view.pair], np.arange(view.size))
-        assert np.allclose(view.table[view.pair], np.conj(view.table), atol=1e-12)
-        # the rows are distinct characters: the table is N times a unitary
-        gram = view.table @ np.conj(view.table).T
-        assert np.allclose(gram, view.size * np.eye(view.size), atol=1e-9)
-        assert view.pair[0] == 0 and np.allclose(view.table[0], 1.0)
+    if k_factors is None:
+        k_group, q_group, embed, project = _diagonal_case()
+    else:
+        k_group, q_group, embed, project = _product_case(orders, k_factors)
+    to_g = np.asarray([g.element_index(x) for x in embed])
+    to_q = np.asarray([q_group.element_index(y) for y in project])
+    assert len(to_g) * q_group.size == g.size
+
+    def restrict(s):
+        return SymSet(k_group, s.mask[to_g])
+
+    def push(s):
+        mask = np.zeros(q_group.size, dtype=bool)
+        mask[to_q[s.indices]] = True
+        return SymSet(q_group, mask)
+
+    rng = SplitMix64(sum(orders))
+    for _ in range(8):
+        op = SymSet(g, symmetric_mask(rng, g, include_zero=rng.chance(3, 4)))
+        om = SymSet(g, symmetric_mask(rng, g, include_zero=rng.chance(1, 2)))
+        rep = verify_homomorphism_bound(g, to_g, op, om)
+        k_direct = two_set_constant(k_group, restrict(op), restrict(om)).value
+        q_direct = two_set_constant(q_group, push(op), push(om)).value
+        assert rep["subgroup_constant"] == pytest.approx(k_direct, abs=1e-9)
+        assert rep["quotient_constant"] == pytest.approx(q_direct, abs=1e-9)
+        assert rep["pass"]
 
 
 def test_homomorphism_subgroup_constant_matches_direct_lp():

@@ -212,6 +212,12 @@ def test_quadrature_validation():
             gorbachev_H_grid(1, [5.0], bad)
 
 
+def test_truncation_radius_must_reach_the_tail_model():
+    # the Yudin tail model starts at 30, so a shorter truncation leaves [t_max, 30] out
+    with pytest.raises(ValueError, match="from 30.0 to 600.0"):
+        yudin_hat_grid(1, [0.0], 20.0)
+
+
 def test_transforms_reject_nonpositive_dimension():
     for d in (0, -1):
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
