@@ -55,7 +55,9 @@ TOLERANCES = {
 }
 
 MAX_TABLE_POINTS = 10**6
-MAX_DIMENSION = 64  # the Hankel quadrature first fails at d = 94
+# radial hankel on its default grid exits 3 (refinement disagreement) at
+# d = 10, 15, 18, 23, 25-50, 56 and 62 of these
+MAX_DIMENSION = 64
 
 _INTERVAL = re.compile(r"^\[(-?\d+)\s*,\s*(-?\d+)\]$")
 

@@ -9,20 +9,16 @@ trivial character's value as the objective, which equals the Haar integral.
 Characters are paired by exact integer arithmetic: the conjugate of chi_k is
 chi_{-k}, so the pairing is the group's negation.
 
-Every constant is this one LP on G.  The quotient bound C_G <= C_{G/K} C_K
-(counting measure on G, K and G/K) needs the two factors, and two classical
-restriction lemmas (Rudin, Fourier Analysis on Groups, 1962) put both on G:
+The same routine gives both factors of the quotient bound C_G <= C_{G/K} C_K
+(counting measure on G, K and G/K), each at its own size, from integer class
+labels on the characters and elements of G (Rudin, Fourier Analysis on
+Groups, 1962):
 
-* a positive definite function on a subgroup K is exactly a positive
-  definite function on G that vanishes off K, so C_K is the LP on G with
-  the sets Omega+- intersected with K;
-* a positive definite function on G/K is exactly a positive definite
-  function on G whose spectrum lies in the annihilator of K, i.e. a
-  K-periodic one, so C_{G/K} is the LP on G with the sets Omega+- + K and
-  the characters restricted to the annihilator, divided by #K (the counting
-  integral over G counts each coset #K times).
-
-Annihilator membership is an exact integer test on character phases.
+* K^ = G^/K^perp, and f on G vanishes off K exactly when its spectrum is
+  constant on the classes of K^perp: C_K has one variable per class of
+  characters that agree on K, and one row per element of K;
+* (G/K)^ is the annihilator K^perp: C_{G/K} keeps those characters and has
+  one row per coset of K, a coset meeting Omega+- counting as inside it.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Group, GroupFunction, SymSet, _as_indices, difference_mask, difference_set
+from .groups import Group, GroupFunction, SymSet, _as_indices, difference_set
 from .lp import LpProblem, SolverFailure, solve
 from . import density as density_mod
 
@@ -56,47 +52,50 @@ class ExtremalResult:
 
 
 def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
-           weight: float | None = None, chars: np.ndarray | None = None):
-    """The LP on G.  Returns (value, f_values, spectrum, status).
+           chars: np.ndarray | None = None, elems: np.ndarray | None = None):
+    """The LP on the group of classes.  Returns (value, f_values, spectrum, status).
 
-    Variables are the spectrum values per conjugate character pair, so
-    positive definiteness becomes plain nonnegativity bounds; the support
-    conditions become sign rows on f(x) = (1/(N w)) sum_k u_k rho_k(x),
-    f(0) = 1 is a single equality, and the objective is the trivial
-    character's value.  No free variables, and the feasible region is a
-    bounded slice of the nonnegative orthant.  ``weight`` overrides the
-    group's Haar weight; ``chars`` is a mask of the characters the spectrum
-    may use (closed under conjugation, holding the trivial one).
+    ``chars`` and ``elems`` label each character and element of G by the
+    least index of its class, -1 leaving it out; the identity default is G.
+    Variables are the spectrum values per conjugate pair of character
+    classes, so positive definiteness becomes plain nonnegativity bounds; the
+    support conditions become sign rows on f(x) = (1/(M w)) sum_k u_k
+    rho_k(x) over the M character classes, f(0) = 1 is a single equality, and
+    the objective is the trivial character's value.
     """
     n = group.size
-    w = group.weight if weight is None else weight
-    if not mask_plus[0]:
+    idx = np.arange(n)
+    chars = idx if chars is None else chars
+    elems = idx if elems is None else elems
+    inside_plus, inside_minus = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    inside_plus[elems[mask_plus & (elems >= 0)]] = True  # a class meets Omega+
+    inside_minus[elems[mask_minus & (elems >= 0)]] = True
+    if not inside_plus[0]:
         return 0.0, np.zeros(n), np.zeros(n), "infeasible-zero"
 
     neg = group.neg
-    table = group.char_values(np.arange(n))
-    # one representative per {x, -x}; conj(chi_k) = chi_{-k} pairs the characters alike
-    reps = np.flatnonzero(np.arange(n) <= neg)
-    char_reps = reps if chars is None else reps[chars[reps]]
-    assert char_reps[0] == 0
+    # one representative per class pair {C, -C}, for characters and elements alike
+    char_reps = np.flatnonzero((chars == idx) & (idx <= chars[neg]))
+    reps = np.flatnonzero((elems == idx) & (idx <= elems[neg]))
 
-    # one row per element orbit: f(0) = 1 (scaled by N w), then a sign row
-    # for every orbit outside Omega+ or outside Omega-
-    inside_plus, inside_minus = mask_plus[reps], mask_minus[reps]
-    keep = ~(inside_plus & inside_minus)
+    # one row per element class: f(0) = 1 (scaled by M w), then a sign row
+    # for every class outside Omega+ or outside Omega-
+    keep = ~(inside_plus[reps] & inside_minus[reps])
     keep[0] = True
     rows = reps[keep]
-    senses = np.where(inside_plus, ">=", np.where(inside_minus, "<=", "="))[keep]
+    senses = np.where(inside_plus[rows], ">=", np.where(inside_minus[rows], "<=", "="))
     senses[0] = "="
     rhs = np.zeros(rows.shape[0])
-    rhs[0] = n * w
+    rhs[0] = np.count_nonzero(chars == idx) * group.weight
 
-    # rho_k(x) = the k-th conjugate character pair summed over the orbit of x
-    re = table.real[char_reps]
-    paired = neg[rows] != rows
-    rho = re[:, rows]
-    rho[:, paired] += re[:, neg[rows[paired]]]
-    rho *= 1 + (neg[char_reps] != char_reps)[:, None]
+    # rho_k(x): character pair k summed over the class pair of x; chi_k(-x) has the
+    # exact phase (-p) mod L, added as such, not doubled, so values are bit-stable
+    L = group.char_lcm
+    phases = group.char_phases(char_reps, reps)
+    mult = 1 + (chars[neg[char_reps]] != char_reps)[:, None]
+    base = np.cos((2 * np.pi / L) * phases) * mult
+    paired = elems[neg[reps]] != reps
+    rho = (base + paired * mult * np.cos((2 * np.pi / L) * (-phases % L)))[:, keep]
 
     c = np.zeros(char_reps.shape[0])
     c[0] = 1.0  # the trivial-character value is the Haar integral of f
@@ -108,7 +107,9 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     spectrum = np.zeros(n)
     spectrum[char_reps] = sol.x
     spectrum[neg[char_reps]] = sol.x
-    f_values = (table.T @ spectrum).real / (n * w)
+    f_values = np.zeros(n)
+    f_values[reps] = sol.x @ base / rhs[0]
+    f_values[neg[reps]] = f_values[reps]
     return value, f_values, spectrum, "optimal"
 
 
@@ -192,20 +193,24 @@ def verify_homomorphism_bound(group: Group, k_subgroup, omega_plus: SymSet,
     """C_G <= C_{G/K} * C_K with counting measure on G, K and G/K."""
     k_mask = np.zeros(group.size, dtype=bool)
     k_mask[_as_indices(group, k_subgroup)] = True
+    group = Group(group.orders, 1.0)  # counting measure
     if not _is_subgroup(group, k_mask):
         raise ValueError("K is not a subgroup of G")
     plus, minus = omega_plus.mask, omega_minus.mask
-    k = np.flatnonzero(k_mask)
+    idx, k = np.arange(group.size), np.flatnonzero(k_mask)
 
-    value_g, *_ = _solve(group, plus, minus, weight=1.0)
-    # pd on K = pd on G vanishing off K
-    value_k, *_ = _solve(group, plus & k_mask, minus & k_mask, weight=1.0)
-    # pd on G/K = pd on G with spectrum in the annihilator of K; the sum
-    # over G counts each coset #K times
-    annihilator = np.all(group.char_phases(np.arange(group.size), k) == 0, axis=1)
-    value_q, *_ = _solve(group, difference_mask(group, plus, k), difference_mask(group, minus, k),
-                         weight=1.0, chars=annihilator)
-    value_q /= k.size
+    annihilator = ~group.char_phases(idx, k).any(axis=1)  # K^perp, exactly
+
+    def cosets(sub):  # the least index of x + sub, for every x
+        return group.add_index(idx[:, None], sub[None, :]).min(axis=1)
+
+    value_g, *_ = _solve(group, plus, minus)
+    # K^ = G^/K^perp: characters label their coset of K^perp; elements off K drop out
+    value_k, *_ = _solve(group, plus, minus, chars=cosets(np.flatnonzero(annihilator)),
+                         elems=np.where(k_mask, idx, -1))
+    # (G/K)^ = K^perp: other characters drop out; elements label their coset of K
+    value_q, *_ = _solve(group, plus, minus, chars=np.where(annihilator, idx, -1),
+                         elems=cosets(k))
 
     rhs = value_q * value_k
     return {

@@ -162,6 +162,9 @@ def _main_case(rng: SplitMix64, max_n: int) -> dict:
 
 
 def run_main_suite(count: int, seed: int, max_n: int = 40) -> dict:
+    """D(Omega+) <= 1/#Lambda.  The suite passes only when no instance fails and
+    at least one is tight (D = 1/#Lambda within VALUE_TOL, so the bound is seen
+    to be sharp): a run without a tight instance, such as count 0, fails."""
     report = _run_suite("main", count, seed, max_n, 4, _main_case)
     tight = sum(inst["tight"] for inst in report["instances"])
     report["tight_instances"] = tight

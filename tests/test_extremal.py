@@ -16,7 +16,7 @@ from pdextremal.extremal import (
     verify_product_bound,
     verify_tile_theorem,
 )
-from pdextremal.fuzz import SplitMix64, symmetric_mask
+from pdextremal.fuzz import SplitMix64, hom_instance, symmetric_mask
 from pdextremal.groups import SymSet, difference_set, make_group
 from pdextremal.posdef import autocorrelation, is_posdef
 
@@ -373,8 +373,8 @@ def test_homomorphism_constants_match_explicit_groups(orders, k_factors):
         rep = verify_homomorphism_bound(g, to_g, op, om)
         k_direct = two_set_constant(k_group, restrict(op), restrict(om)).value
         q_direct = two_set_constant(q_group, push(op), push(om)).value
-        assert rep["subgroup_constant"] == pytest.approx(k_direct, abs=1e-9)
-        assert rep["quotient_constant"] == pytest.approx(q_direct, abs=1e-9)
+        assert rep["subgroup_constant"] == pytest.approx(k_direct, abs=1e-12)
+        assert rep["quotient_constant"] == pytest.approx(q_direct, abs=1e-12)
         assert rep["pass"]
 
 
@@ -390,5 +390,20 @@ def test_homomorphism_subgroup_constant_matches_direct_lp():
         om = SymSet(g, symmetric_mask(rng, g, include_zero=rng.chance(1, 2)))
         rep = verify_homomorphism_bound(g, k, op, om)
         direct = two_set_constant(k2, SymSet(k2, op.mask[to_g]), SymSet(k2, om.mask[to_g]))
-        assert rep["subgroup_constant"] == pytest.approx(direct.value, abs=1e-9)
+        assert rep["subgroup_constant"] == pytest.approx(direct.value, abs=1e-12)
         assert rep["pass"]
+
+
+def test_homomorphism_constants_at_size_565():
+    # the second instance of the hom suite's seed 3 at --max-n 1024:
+    # n = 565, K = 113 Z_565 = Z_5 by a -> 113 a
+    rng = SplitMix64(3)
+    hom_instance(rng, 1024)
+    inst = hom_instance(rng, 1024)
+    g = inst["group"]
+    assert g.size == 565 and inst["k"] == [0, 113, 226, 339, 452]
+    rep = verify_homomorphism_bound(g, inst["k"], inst["omega_plus"], inst["omega_minus"])
+    z5 = make_group([5], "counting")
+    direct = two_set_constant(z5, SymSet(z5, inst["omega_plus"].mask[inst["k"]]),
+                              SymSet(z5, inst["omega_minus"].mask[inst["k"]]))
+    assert rep["subgroup_constant"] == pytest.approx(direct.value, abs=1e-12)

@@ -57,13 +57,16 @@ def test_dft_cosine_line():
 
 def test_inverse_roundtrip_random_spectra():
     rng = np.random.default_rng(11)
-    for orders in ([7], [3, 5], [2, 2, 4]):
+    for orders in ([7], [3, 5], [2, 2, 4], [1, 6]):
         g = make_group(orders, "probability")
         for _ in range(20):
             spec = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
             f = inverse_dft(g, spec)
             back = dft_complex(g, f)
             assert np.max(np.abs(back - spec)) < 1e-12 * max(1.0, np.max(np.abs(spec)))
+            real = GroupFunction(g, f.real)
+            assert np.max(np.abs(dft(real) - dft_complex(g, real.values))) < 1e-12 * max(
+                1.0, np.max(np.abs(f.real)))
 
 
 def dft_complex(group, values):
