@@ -19,7 +19,7 @@ from .groups import (
     real_spectrum,
 )
 from .posdef import autocorrelation, is_posdef, periodize, schur_product
-from .lp import LpProblem, LpSolution, SolverFailure, check_certificate, solve
+from .lp import LpProblem, LpSolution, QuadratureError, SolverFailure, check_certificate, solve
 from .extremal import (
     ExtremalResult,
     delsarte,
@@ -43,25 +43,23 @@ from .density import (
     packs_strict,
     tiles_strict,
 )
-from .radial import (
-    QuadratureError,
-    ball_char_transform,
-    bessel_first_zero,
-    bessel_j,
-    gorbachev_H,
-    hankel_transform,
-    sphere_transform,
-    yudin_Y,
-    yudin_sign_check,
-)
-from .trinomial import (
-    Trinomial,
-    critical_coeffs,
-    example51_comparison,
-    example51_lower_bound,
-    is_nonneg,
-    optimize_trinomial,
-)
+# radial (which imports scipy.special) and trinomial load on first use
+_LAZY = {
+    **dict.fromkeys(["ball_char_transform", "bessel_first_zero", "bessel_j", "gorbachev_H",
+                     "hankel_transform", "sphere_transform", "yudin_Y", "yudin_sign_check"],
+                    "radial"),
+    **dict.fromkeys(["Trinomial", "critical_coeffs", "example51_comparison",
+                     "example51_lower_bound", "is_nonneg", "optimize_trinomial"], "trinomial"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "__version__",

@@ -29,23 +29,7 @@ from .extremal import (
 )
 from .fuzz import SUITES
 from .groups import Group, SymSet, set_from_json
-from .lp import SolverFailure
-from .radial import (
-    QuadratureError,
-    ball_char_transform,
-    bessel_first_zero,
-    gorbachev_H_grid,
-    gorbachev_H_report,
-    yudin_Y,
-    yudin_hat_grid,
-    yudin_sign_check,
-)
-from .trinomial import (
-    Trinomial,
-    example51_comparison,
-    example51_lower_bound,
-    optimize_trinomial,
-)
+from .lp import QuadratureError, SolverFailure
 
 TOLERANCES = {
     "value": 1e-8,
@@ -122,8 +106,6 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return {"numerator": obj.numerator, "denominator": obj.denominator,
                 "value": float(obj)}
-    if isinstance(obj, PeriodicSet):
-        return obj.to_json()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
@@ -132,8 +114,8 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
-    if isinstance(obj, Trinomial):
-        return {"a": float(obj.a), "b": float(obj.b)}
+    if hasattr(obj, "to_json"):  # PeriodicSet, Trinomial
+        return obj.to_json()
     return obj
 
 
@@ -203,6 +185,16 @@ def _grid(start: float, stop: float, step: float, flag: str) -> np.ndarray:
 
 
 def _cmd_radial(args) -> int:
+    from .radial import (
+        ball_char_transform,
+        bessel_first_zero,
+        gorbachev_H_grid,
+        gorbachev_H_report,
+        yudin_Y,
+        yudin_hat_grid,
+        yudin_sign_check,
+    )
+
     if not args.step > 0:
         raise UsageError(f"--step must be positive, got {args.step}")
     if args.d < 1:
@@ -250,6 +242,8 @@ def _cmd_radial(args) -> int:
 
 
 def _cmd_trinomial(args) -> int:
+    from .trinomial import example51_comparison, example51_lower_bound, optimize_trinomial
+
     if args.action == "optimize":
         opt = optimize_trinomial()
         _emit("trinomial optimize", {

@@ -73,6 +73,9 @@ def _divisors(n: int) -> list[int]:
 
 
 MAX_GROUP = 2048  # largest group a suite may draw
+# most instances a suite may run: at ~1.3 ms and ~300 bytes of JSON each,
+# a few minutes and ~30 MB of output
+MAX_COUNT = 10**5
 
 
 def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case,
@@ -82,8 +85,8 @@ def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case
     Each case returns its instance row with a "pass" flag.  The suite's groups
     have between smallest and max_n ** factors elements.
     """
-    if count < 0:
-        raise ValueError(f"instance count must be nonnegative, got {count}")
+    if not 0 <= count <= MAX_COUNT:
+        raise ValueError(f"instance count (--fuzz) must be from 0 to {MAX_COUNT}, got {count}")
     if max_n < smallest:
         raise ValueError(f"max_n must be at least {smallest} for this suite, got {max_n}")
     limit = int(MAX_GROUP ** (1.0 / factors))

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# The pybind11 core directly, not linprog: linprog rebuilds an options
-# manager for each option on every call, which makes the thousands of tiny
-# LPs of a verification suite (median 3 rows x 6 columns) about 3x slower.
-from scipy.optimize._highspy import _core as highs
+
+from ._scipy import extension
+
+# HiGHS's compiled pybind11 core, scipy.optimize._highspy._core, loaded from
+# its file so that importing it does not run scipy/optimize/__init__.py.  Not
+# linprog: linprog rebuilds an options manager for each option on every call,
+# which makes the thousands of tiny LPs of a verification suite (median 3
+# rows x 6 columns) about 3x slower.
+highs = extension("scipy.optimize._highspy._core")
 
 _HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1,  # dual
                   "threads": 1, "random_seed": 0,
@@ -30,6 +35,10 @@ _STATUS = {highs.HighsModelStatus.kInfeasible: ("infeasible", np.nan),
 
 class SolverFailure(RuntimeError):
     """Numerical breakdown distinct from an infeasible or unbounded model."""
+
+
+class QuadratureError(RuntimeError):
+    """Successive quadrature refinements failed to agree within tolerance."""
 
 
 @dataclass

@@ -19,15 +19,15 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
+from ._scipy import extension
+from .lp import QuadratureError
+
+# brentq's compiled entry point, without scipy/optimize/__init__.py
+_zeros = extension("scipy.optimize._zeros")
+
 TWO_PI = 2.0 * math.pi
-
-
-class QuadratureError(RuntimeError):
-    """Successive quadrature refinements failed to agree within tolerance."""
-
 
 # Fixed quadrature settings.  The truncation radius t_max is the one value a
 # caller chooses (the CLI's --quad-t-max).
@@ -77,7 +77,12 @@ def bessel_first_zero(alpha: float) -> float:
         t += step
         f = bessel_j(alpha, t)
         if f_prev > 0 >= f:
-            return float(brentq(lambda x: bessel_j(alpha, x), t_prev, t, xtol=1e-13))
+            # brentq(..., xtol=1e-13) at its compiled entry point,
+            # scipy.optimize._zeros._brentq, with brentq's defaults rtol = 4 eps
+            # and maxiter 100; brentq only adds a NaN guard, and j_alpha is
+            # finite on this bracket
+            return float(_zeros._brentq(lambda x: bessel_j(alpha, x), t_prev, t, 1e-13,
+                                        4 * np.finfo(float).eps, 100, (), False, True))
         t_prev, f_prev = t, f
     raise RuntimeError(f"no sign change found for alpha = {alpha}")
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 Z_MAX = math.pi / 4
 
@@ -41,6 +40,9 @@ class Trinomial:
 
     def value_at_zero(self) -> float:
         return 1.0 + self.a + self.b
+
+    def to_json(self) -> dict:
+        return {"a": float(self.a), "b": float(self.b)}
 
 
 def _denominator(z: float) -> float:
@@ -86,27 +88,50 @@ def is_nonneg(tri: Trinomial, grid_size: int = 4096) -> dict:
     return {"pass": bool(min_value >= -1e-9), "min_value": min_value, "argmin": argmin}
 
 
+def _golden_max(f, bracket, xtol: float) -> float:
+    """Golden-section search for a maximum of f inside bracket = (xa, xb, xc).
+
+    Step for step the golden method of scipy's ``minimize_scalar`` on -f, with
+    its ratio 0.61803399, initial split and update order, so the result keeps
+    its bits; scipy's routine is plain Python in scipy/optimize/_optimize.py,
+    which cannot be imported without scipy/optimize/__init__.py.
+    """
+    g_r = 0.61803399
+    g_c = 1.0 - g_r
+    x0, xb, x3 = bracket
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + g_c * (x3 - xb)
+    else:
+        x1, x2 = xb - g_c * (xb - x0), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, g_r * x2 + g_c * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, g_r * x1 + g_c * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 > f2 else x2
+
+
+def _objective(z: float) -> float:
+    return critical_coeffs(min(max(z, 0.0), Z_MAX)).value_at_zero()
+
+
 def optimize_trinomial() -> dict:
     """Maximize 1 + a(z) + b(z) over the critical family on [0, pi/4].
 
     Grid scan seeds a golden-section refinement; the winner must be a
     nonnegative trinomial.
     """
-
-    def objective(z: float) -> float:
-        return critical_coeffs(min(max(z, 0.0), Z_MAX)).value_at_zero()
-
     zs = np.linspace(0.0, Z_MAX, 2001)
-    vals = np.array([objective(z) for z in zs])
+    vals = np.array([_objective(z) for z in zs])
     i = int(np.argmax(vals))
     if 0 < i < len(zs) - 1:
-        res = minimize_scalar(
-            lambda z: -objective(z),
-            bracket=(zs[i - 1], zs[i], zs[i + 1]),
-            method="golden",
-            options={"xtol": 1e-12},
-        )
-        z_star = float(min(max(res.x, 0.0), Z_MAX))
+        z = _golden_max(_objective, (zs[i - 1], zs[i], zs[i + 1]), xtol=1e-12)
+        z_star = float(min(max(z, 0.0), Z_MAX))
     else:
         z_star = float(zs[i])
     coeffs = critical_coeffs(z_star)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+import scipy
 
+import pdextremal
 import pdextremal.cli as cli
+from pdextremal._scipy import extension
 
 
 def run(capsys, argv):
@@ -227,12 +233,13 @@ def test_usage_error_exits_one(capsys):
 
 
 def test_numerical_failure_exits_three(capsys, monkeypatch):
+    import pdextremal.radial as radial
     from pdextremal.radial import QuadratureError
 
     def boom(*args, **kwargs):
         raise QuadratureError("refinement disagreement")
 
-    monkeypatch.setattr(cli, "yudin_hat_grid", boom)
+    monkeypatch.setattr(radial, "yudin_hat_grid", boom)
     assert cli.main(["radial", "hankel", "--d", "1", "--s-max", "1", "--step", "0.5"]) == 3
 
 
@@ -320,7 +327,6 @@ def test_gorbachev_h_report_reuses_the_table_grid(capsys, monkeypatch):
         return grid(*args, **kwargs)
 
     monkeypatch.setattr(radial, "gorbachev_H_grid", counted)
-    monkeypatch.setattr(cli, "gorbachev_H_grid", counted)
     code, out = run(capsys, ["radial", "gorbachev-h", "--d", "2", "--t-max", "10"])
     assert code == 0
     assert len(calls) == 1
@@ -346,3 +352,53 @@ def test_jsonable_trinomial_by_type():
     assert cli._jsonable(Trinomial(0.5, 0.25)) == {"a": 0.5, "b": 0.25}
     other = SimpleNamespace(a=1, b=2)
     assert cli._jsonable(other) is other
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "main", "--fuzz", "100000000000000000000"],
+     "instance count (--fuzz) must be from 0 to 100000, got 100000000000000000000"),
+    (["verify", "ineq", "--fuzz", "-5"], "instance count (--fuzz) must be from 0 to 100000, got -5"),
+])
+def test_verify_limits_instance_count(capsys, argv, message):
+    assert_usage_error(capsys, argv, message)
+
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
+         "pdextremal.radial", "pdextremal.trinomial")
+import pdextremal.cli
+after_cli = [m for m in HEAVY if m in sys.modules]
+import pdextremal
+after_package = [m for m in HEAVY if m in sys.modules]
+unresolved = [name for name in pdextremal.__all__ if getattr(pdextremal, name, None) is None]
+star = {}
+exec("from pdextremal import *", star)
+try:
+    pdextremal.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"after_cli": after_cli, "after_package": after_package,
+                  "unresolved": unresolved, "star": sorted(set(star) - {"__builtins__"}),
+                  "all": sorted(pdextremal.__all__), "unknown": unknown}))
+"""
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # a fresh interpreter, so nothing an earlier test imported counts
+    src = os.path.dirname(os.path.dirname(pdextremal.__file__))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout)
+    assert report["after_cli"] == []
+    assert report["after_package"] == []
+    assert report["unresolved"] == []
+    assert report["star"] == report["all"]
+    assert report["unknown"] == "module 'pdextremal' has no attribute 'no_such_name'"
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    with pytest.raises(ImportError, match="_no_such_module") as info:
+        extension("scipy.optimize._no_such_module")
+    assert folder in str(info.value)

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pdextremal.radial import (
     bessel_first_zero,
@@ -70,6 +72,29 @@ def test_first_zeros():
     assert bessel_first_zero(0.0) == pytest.approx(j0_first_zero_bisect(), abs=1e-9)
     assert bessel_first_zero(0.0) == pytest.approx(2.404825557695773, abs=1e-9)
     assert bessel_j(0.0, 2.404825557695773) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_first_zero_is_scipy_brentq_bit_for_bit(monkeypatch):
+    # bessel_first_zero calls brentq's compiled entry point; it must return
+    # the bits of scipy.optimize.brentq(..., xtol=1e-13) on the same bracket
+    # for every dimension the CLI accepts
+    import pdextremal.radial as radial
+
+    zeros = radial._zeros
+    brackets = []
+
+    def _brentq(f, a, b, *rest):
+        brackets.append((a, b))
+        return zeros._brentq(f, a, b, *rest)
+
+    monkeypatch.setattr(radial, "_zeros", SimpleNamespace(_brentq=_brentq))
+    for d in range(1, 65):
+        alpha = d / 2 - 1
+        brackets.clear()
+        q = bessel_first_zero.__wrapped__(alpha)  # past the cache, so the call is made
+        [(a, b)] = brackets
+        assert q == brentq(lambda x: bessel_j(alpha, x), a, b, xtol=1e-13), d
+        assert q == bessel_first_zero(alpha)
 
 
 def test_zeros_increase_with_order():

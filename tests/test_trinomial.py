@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from pdextremal.trinomial import (
+    Z_MAX,
     Trinomial,
+    _golden_max,
+    _objective,
     construction_spectrum,
     critical_coeffs,
     example51_comparison,
@@ -115,3 +119,22 @@ def test_example51_comparison():
     assert float(rep["q_density"]) == pytest.approx(0.4)
     assert rep["density_strictly_smaller"]
     assert rep["density_witness"] == {"period": 5, "residues": [0, 2]}
+
+
+@pytest.mark.parametrize("f, bracket", [
+    (_objective, "grid"),
+    (lambda x: -abs(x - 0.3), (-0.2, 0.5, 0.8)),  # the initial split on the left
+    (math.sin, (1.0, 1.4, 2.5)),                  # and on the right
+])
+def test_golden_max_is_scipy_golden_bit_for_bit(f, bracket):
+    if bracket == "grid":  # the bracket optimize_trinomial refines
+        zs = np.linspace(0.0, Z_MAX, 2001)
+        i = int(np.argmax([_objective(z) for z in zs]))
+        bracket = (zs[i - 1], zs[i], zs[i + 1])
+    expected = minimize_scalar(lambda x: -f(x), bracket=bracket, method="golden",
+                               options={"xtol": 1e-12}).x
+    assert _golden_max(f, bracket, xtol=1e-12) == expected
+
+
+def test_optimum_keeps_its_bits():
+    assert optimize_trinomial()["z_star"] == 0.6283185199079513
