@@ -28,7 +28,7 @@ from .extremal import (
     two_set_constant,
 )
 from .fuzz import SUITES
-from .groups import Group, SymSet, set_from_json
+from .groups import Group, SymSet
 from .lp import QuadratureError, SolverFailure
 
 TOLERANCES = {
@@ -69,7 +69,7 @@ def _parse_group(text: str) -> Group:
 
 def _parse_set(group: Group, text: str, flag: str) -> SymSet:
     if text in ("empty", "all"):
-        return set_from_json(group, text)
+        return SymSet.empty(group) if text == "empty" else SymSet.full(group)
     orders = group.orders
     m = _INTERVAL.match(text.strip())
     # a negative lower endpoint marks the interval shorthand ("[-1,1]" is
@@ -81,8 +81,8 @@ def _parse_set(group: Group, text: str, flag: str) -> SymSet:
         # an interval of N or more integers holds every residue
         return SymSet.from_elements(group, range(lo, min(hi, lo + orders[0] - 1) + 1))
     data = _parse_json(text, flag)
-    if isinstance(data, str) and data in ("empty", "all"):
-        return set_from_json(group, data)
+    if data in ("empty", "all"):
+        return _parse_set(group, data, flag)
     if not isinstance(data, list):
         raise UsageError(f"{flag} must be a list, 'empty', 'all' or an interval, got {text!r}")
     residues = []
@@ -195,8 +195,8 @@ def _cmd_radial(args) -> int:
         yudin_sign_check,
     )
 
-    if not args.step > 0:
-        raise UsageError(f"--step must be positive, got {args.step}")
+    if not 0 < args.step < math.inf:
+        raise UsageError(f"--step must be positive and finite, got {args.step}")
     if args.d < 1:
         raise UsageError(f"--d: dimension must be a positive integer, got {args.d}")
     if args.d > MAX_DIMENSION:

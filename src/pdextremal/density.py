@@ -7,6 +7,10 @@ periodic sets the lim-sup and inf-sup definitions coincide: every window of
 length r*p contains exactly r*#residues points, so the sup over windows and
 the limit agree).  The exhaustive search certifies the optimum over periodic
 patterns up to the stated period bound only, and reports that bound.
+
+Differences x - y are counted by ``groups.difference_counts`` alone, and one
+branch and bound, ``_packing_set``, serves both the periodic search (exact)
+and ``extremal.largest_packing_witness`` (under a node budget).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import Group, SymSet, _as_indices, difference_mask
+from .groups import Group, SymSet, _as_indices, difference_counts, difference_mask, make_group
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,7 @@ class PeriodicSet:
 
 def shift_counts(group: Group, h, lam) -> np.ndarray:
     """counts[x] = number of translates H + l (l in Lambda) covering x."""
-    hi = _as_indices(group, h)
-    li = _as_indices(group, lam)
-    counts = np.zeros(group.size, dtype=np.int64)
-    for l in li:
-        np.add.at(counts, group.add_index(hi, int(l)), 1)
-    return counts
+    return difference_counts(group, h, group.neg[_as_indices(group, lam)])
 
 
 def packs_strict(group: Group, h, lam) -> bool:
@@ -113,17 +112,28 @@ def integer_shadow(intervals: Sequence[Sequence[float]], closed: bool = False) -
     return sorted(out)
 
 
-def _largest_independent_set(n: int, conflict: Sequence[int]) -> list[int]:
-    """Largest S in range(n) with no bit y of conflict[x] set for x, y in S.
+def _packing_set(group: Group, allowed: np.ndarray, max_nodes: float = math.inf) -> list[int]:
+    """Largest A (element indices) with A - A inside the mask allowed.
 
-    Branch and bound over 0..n-1 in increasing order with an explicit stack,
-    so the depth is not limited by recursion.  Each node is tried with its
-    element included before excluded, so among maximum sets the
-    lexicographically smallest is returned.
+    Branch and bound over the indices in increasing order with an explicit
+    stack, so the depth is not limited by recursion.  Each element is tried
+    included before excluded, so among the largest sets the lexicographically
+    least is returned.  After max_nodes nodes the search stops and returns
+    the best set found so far: a largest one only if the search had finished,
+    and never worse than the greedy set, the first one found.
     """
-    best, best_size = 0, 0
+    if not allowed[0]:
+        return []
+    n = group.size
+    idx = np.arange(n)
+    # conflict[x] has bit y set when x - y is outside allowed
+    conflict = [int.from_bytes(np.packbits(~allowed[group.sub_index(x, idx)],
+                                           bitorder="little").tobytes(), "little")
+                for x in range(n)]
+    best, best_size, nodes = 0, 0, 0
     stack = [(0, 0, 0, 0)]  # (next element, banned mask, chosen mask, chosen count)
-    while stack:
+    while stack and nodes < max_nodes:
+        nodes += 1
         start, banned, chosen, size = stack.pop()
         if size + (n - start) <= best_size:
             continue
@@ -139,8 +149,9 @@ def _largest_independent_set(n: int, conflict: Sequence[int]) -> list[int]:
 def max_density_search(forbidden_diffs: Iterable[int], max_period: int) -> dict:
     """Best periodic-set density whose integer differences avoid the forbidden set.
 
-    Searches all periods up to max_period exhaustively; the reported optimum is
-    certified for periodic patterns within that bound only.
+    Searches all periods up to max_period exhaustively: per period p, the
+    largest packing set in Z_p of the residues allowed as differences.  The
+    reported optimum is certified for periodic patterns within that bound only.
     """
     forbidden = sorted({int(f) for f in forbidden_diffs})
     if any(f <= 0 for f in forbidden):
@@ -154,14 +165,9 @@ def max_density_search(forbidden_diffs: Iterable[int], max_period: int) -> dict:
     best_density = Fraction(0)
     best_witness = PeriodicSet(1, frozenset())
     for p in range(1, max_period + 1):
-        residues = {f % p for f in forbidden}
-        if 0 in residues:
-            continue  # some forbidden difference is a multiple of p
-        conflict = [0] * p  # bitmask of residues conflicting with r
-        for r in range(p):
-            for f in residues:
-                conflict[r] |= (1 << ((r + f) % p)) | (1 << ((r - f) % p))
-        witness = _largest_independent_set(p, conflict)
+        allowed = np.ones(p, dtype=bool)
+        allowed[[s * f % p for f in forbidden for s in (1, -1)]] = False
+        witness = _packing_set(make_group([p]), allowed)  # empty if p divides some f
         dens = Fraction(len(witness), p)
         if dens > best_density:
             best_density = dens

@@ -28,11 +28,16 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Group, GroupFunction, SymSet, _as_indices, difference_set
+from .groups import Group, GroupFunction, SymSet, _as_indices, difference_mask, difference_set
 from .lp import LpProblem, SolverFailure, solve
 from . import density as density_mod
 
 VALUE_TOL = 1e-8
+
+# node budget of the packing-witness search: at the default verify ineq size
+# the exact searches ended within 38,578 nodes (5,280 searches), and at
+# --max-n 400 one could run for minutes
+WITNESS_NODES = 10**6
 
 
 class NotAStrictTiling(ValueError):
@@ -133,20 +138,14 @@ def delsarte(group: Group, omega_plus: SymSet) -> ExtremalResult:
 
 
 def largest_packing_witness(group: Group, omega_plus: SymSet) -> list[int]:
-    """Largest A with A - A inside Omega+ (exhaustive branch and bound).
+    """A set A with A - A inside Omega+, from a search of WITNESS_NODES nodes.
 
-    The autocorrelation of A, normalized to 1 at zero, certifies
-    C(Omega+, .) >= m_G(A).
+    The largest such A (lexicographically least among them) where the branch
+    and bound finishes within the budget, else the best found by then.  Any
+    such A certifies C(Omega+, .) >= m_G(A): its autocorrelation, normalized
+    to 1 at zero, is admissible.
     """
-    if not omega_plus.mask[0]:
-        return []
-    n = group.size
-    idx = np.arange(n)
-    # conflict[x] has bit y set when x - y is outside Omega+
-    conflict = [int.from_bytes(np.packbits(~omega_plus.mask[group.sub_index(x, idx)],
-                                           bitorder="little").tobytes(), "little")
-                for x in range(n)]
-    return density_mod._largest_independent_set(n, conflict)
+    return density_mod._packing_set(group, omega_plus.mask, WITNESS_NODES)
 
 
 def verify_tile_theorem(group: Group, h, lam, omega_minus: SymSet) -> dict:
@@ -184,8 +183,7 @@ def verify_main_theorem(group: Group, omega_plus: SymSet, lam) -> dict:
 
 
 def _is_subgroup(group: Group, k_mask: np.ndarray) -> bool:
-    k = np.flatnonzero(k_mask)
-    return bool(k_mask[0]) and bool(np.all(k_mask[group.sub_index(k[:, None], k[None, :])]))
+    return bool(k_mask[0]) and not (difference_mask(group, k_mask, k_mask) & ~k_mask).any()
 
 
 def verify_homomorphism_bound(group: Group, k_subgroup, omega_plus: SymSet,

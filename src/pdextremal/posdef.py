@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import Group, GroupFunction, dft
+from .groups import Group, GroupFunction, _as_indices, dft, difference_counts
 
 DEFAULT_TOL = 1e-9
 
@@ -20,17 +20,10 @@ def is_posdef(f: GroupFunction, tol: float = DEFAULT_TOL) -> bool:
 
 def autocorrelation(a, group: Group) -> GroupFunction:
     """f(x) = weight * #(A intersect (A + x)), the canonical posdef witness on A - A."""
-    from .groups import _as_indices
-
     ai = _as_indices(group, a)
     if len(ai) == 0:
         raise ValueError("autocorrelation of the empty set is undefined")
-    values = np.zeros(group.size, dtype=np.float64)
-    # shift counts: each pair (p, q) in A x A contributes to x = p - q
-    d = group.sub_index(ai[:, None], ai[None, :])
-    np.add.at(values, d.ravel(), 1.0)
-    values *= group.weight
-    return GroupFunction(group, values)
+    return GroupFunction(group, difference_counts(group, ai, ai) * group.weight)
 
 
 def schur_product(f: GroupFunction, g: GroupFunction) -> GroupFunction:
@@ -46,16 +39,11 @@ def periodize(f: GroupFunction, lam) -> GroupFunction:
     Preserves positive definiteness and satisfies
     integral(Phi) = (#Lambda)^2 * integral(f).
     """
-    from .groups import _as_indices
-
     g = f.group
     li = _as_indices(g, lam)
     if len(li) == 0:
         raise ValueError("periodize needs a nonempty translate set")
-    # multiplicity of each difference l - l'
-    mult = np.zeros(g.size, dtype=np.float64)
-    d = g.sub_index(li[:, None], li[None, :])
-    np.add.at(mult, d.ravel(), 1.0)
+    mult = difference_counts(g, li, li)  # multiplicity of each difference l - l'
     shifts = np.flatnonzero(mult)
     out = np.zeros(g.size, dtype=np.float64)
     idx = np.arange(g.size, dtype=np.int64)

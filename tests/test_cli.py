@@ -194,6 +194,18 @@ def test_group_size_is_limited(capsys, orders, size):
                        f"--group: 'orders' {json.loads(orders)} give a group of {size} elements")
 
 
+@pytest.mark.parametrize("normalization, message", [
+    ("1e-11", "--group: weight 1e-11 gives a total mass of 6e-11; it must lie in [0.01, 1e+12]"),
+    ('{"weight": 1e300}', "--group: weight 1e+300 gives a total mass of 6e+300"),
+    ("Infinity", "--group: weight must be positive and finite, got inf"),
+    ("1" + "0" * 400, "--group: weight must be positive and finite, got inf"),
+], ids=["tiny", "huge", "infinity", "int-beyond-float"])
+def test_group_weight_is_limited(capsys, normalization, message):
+    assert_usage_error(capsys, ["constant", "--group",
+                                '{"orders": [6], "normalization": %s}' % normalization,
+                                "--omega-plus", "[-1,1]", "--kind", "delsarte"], message)
+
+
 def test_probability_group_of_order_zero_is_rejected(capsys):
     assert_usage_error(capsys, ["constant", "--group",
                                 '{"orders": [0], "normalization": "probability"}',
@@ -251,6 +263,12 @@ def test_verify_honours_smallest_max_n(capsys):
     assert all(inst["n"] == 2 for inst in result["instances"])
 
 
+def test_verify_ineq_witness_search_is_bounded(capsys):
+    # groups of 91-357 elements, whose exact witness searches ran for minutes
+    code, out = run(capsys, ["verify", "ineq", "--fuzz", "5", "--seed", "1", "--max-n", "400"])
+    assert code == 0 and json.loads(out)["result"]["pass"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "hom", "--max-n", "3"],  # no composite order to draw from
     ["verify", "tile", "--max-n", "0"],
@@ -276,7 +294,7 @@ def test_verify_limits_group_size(capsys, argv, message):
 
 
 @pytest.mark.parametrize("table", ["yudin", "hankel", "gorbachev-h", "ball-transform"])
-@pytest.mark.parametrize("step", ["0", "-0.5"])
+@pytest.mark.parametrize("step", ["0", "-0.5", "inf"])
 def test_radial_rejects_nonpositive_step(capsys, table, step):
     code = cli.main(["radial", table, "--step", step])
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pdextremal import extremal
 from pdextremal.extremal import (
     ConditionViolated,
     NotAStrictTiling,
@@ -309,6 +310,21 @@ def test_packing_witness_is_lexicographically_first_maximum():
                         for a in itertools.combinations(range(n), k)
                         if all(op.mask[(x - y) % n] for x in a for y in a))
         assert largest_packing_witness(g, op) == expected
+
+
+def test_packing_witness_budget_returns_the_incumbent(monkeypatch):
+    # n + 1 nodes end the search's first dive, which builds the greedy set
+    rng = SplitMix64(5)
+    for _ in range(10):
+        n = 5 + rng.below(30)
+        g = make_group([n], "probability")
+        op = SymSet(g, symmetric_mask(rng, g, include_zero=True))
+        greedy = []
+        for x in range(n):
+            if all(op.mask[(x - y) % n] for y in greedy):
+                greedy.append(x)
+        monkeypatch.setattr(extremal, "WITNESS_NODES", n + 1)
+        assert largest_packing_witness(g, op) == greedy
 
 
 def test_packing_witness_on_a_large_cycle():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdextremal import groups
 from pdextremal.groups import (
     Group,
     GroupFunction,
     SymSet,
     dft,
+    difference_counts,
     difference_mask,
     difference_set,
     inverse_dft,
@@ -34,6 +36,15 @@ def test_make_group_rejects_bad_input():
         make_group([4, 0])
     with pytest.raises(ValueError):
         make_group([4], {"weight": -2.0})
+    for weight in (float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_group([4], weight)
+    # the total mass N * w must lie in [1e-2, 1e12]
+    for orders, weight in (([6], 1e-11), ([6], 1e-3), ([4], 1e300), ([10], 2e11)):
+        with pytest.raises(ValueError, match="total mass"):
+            make_group(orders, {"weight": weight})
+    assert make_group([4], 0.0025).total_mass == 0.01
+    assert make_group([10], 1e11).total_mass == 1e12
 
 
 def test_dft_delta_is_constant():
@@ -152,19 +163,27 @@ def test_difference_set_symmetric_and_contains_zero(n, elems):
         assert len(d) == 0
 
 
-def test_difference_mask_matches_bruteforce():
+def test_difference_mask_matches_bruteforce(monkeypatch):
     rng = np.random.default_rng(3)
+    empty = np.zeros(0, dtype=np.int64)
+    cases = []
     for _ in range(30):
         orders = [int(rng.integers(2, 6)) for _ in range(int(rng.integers(1, 3)))]
         g = make_group(orders)
         a = rng.permutation(g.size)[: int(rng.integers(0, g.size + 1))]
         b = rng.permutation(g.size)[: int(rng.integers(0, g.size + 1))]
-        mask = difference_mask(g, a, b)
-        brute = np.zeros(g.size, dtype=bool)
-        for x in a:
-            for y in b:
-                brute[int(g.sub_index(int(x), int(y)))] = True
-        assert np.array_equal(mask, brute)
+        for a, b in ((a, b), (a, empty), (empty, b), (np.concatenate([a, a]), b)):
+            brute = np.zeros(g.size, dtype=np.int64)
+            for x in a:
+                for y in b:
+                    brute[int(g.sub_index(int(x), int(y)))] += 1
+            cases.append((g, a, b, brute))
+    for chunk in (groups._CHUNK, 1, 3, 7):  # small blocks split a x b into many
+        monkeypatch.setattr(groups, "_CHUNK", chunk)
+        for g, a, b, brute in cases:
+            counts = difference_counts(g, a, b)
+            assert counts.dtype == np.int64 and np.array_equal(counts, brute)
+            assert np.array_equal(difference_mask(g, a, b), brute > 0)
 
 
 def test_symset_autosymmetrizes_with_flag():
