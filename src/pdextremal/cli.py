@@ -98,25 +98,16 @@ def _parse_set(group: Group, text: str, flag: str) -> SymSet:
     return SymSet.from_elements(group, residues)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _to_json(obj):
+    """The json.dumps hook for the values json cannot encode itself."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Fraction):
         return {"numerator": obj.numerator, "denominator": obj.denominator,
                 "value": float(obj)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
     if hasattr(obj, "to_json"):  # PeriodicSet, Trinomial
         return obj.to_json()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(command: str, result, seed=None, warnings=None) -> None:
@@ -125,10 +116,10 @@ def _emit(command: str, result, seed=None, warnings=None) -> None:
         "command": command,
         "seed": seed,
         "tolerances": TOLERANCES,
-        "result": _jsonable(result),
+        "result": result,
         "warnings": warnings or [],
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, default=_to_json))
 
 
 def _emit_csv(columns, rows) -> None:
@@ -137,10 +128,25 @@ def _emit_csv(columns, rows) -> None:
         print(",".join(repr(float(v)) for v in row))
 
 
+def _emit_table(command: str, columns, xs, ys, csv: bool, report=None) -> None:
+    """The (x, y) table as CSV, or as JSON beside report() when that is given.
+
+    The report is computed only for JSON output.
+    """
+    if csv:
+        _emit_csv(columns, zip(xs, ys))
+        return
+    result = {"table": list(zip(xs, ys))}
+    if report is not None:
+        result["report"] = report()
+    _emit(command, result)
+
+
 def _cmd_constant(args) -> int:
+    if args.kind != "two-set" and args.omega_minus is not None:
+        raise UsageError("--omega-minus applies only to --kind two-set")
     group = _parse_group(args.group)
     omega_plus = _parse_set(group, args.omega_plus, "--omega-plus")
-    omega_minus_text = args.omega_minus
     warnings = []
     if omega_plus.symmetrized:
         warnings.append("omega-plus was symmetrized by intersection with its negation")
@@ -149,7 +155,8 @@ def _cmd_constant(args) -> int:
     elif args.kind == "delsarte":
         res = delsarte(group, omega_plus)
     else:
-        omega_minus = _parse_set(group, omega_minus_text, "--omega-minus")
+        omega_minus = _parse_set(group, "all" if args.omega_minus is None else args.omega_minus,
+                                 "--omega-minus")
         if omega_minus.symmetrized:
             warnings.append("omega-minus was symmetrized by intersection with its negation")
         res = two_set_constant(group, omega_plus, omega_minus)
@@ -203,41 +210,25 @@ def _cmd_radial(args) -> int:
         raise UsageError(f"--d: dimension must be at most {MAX_DIMENSION}, got {args.d}")
     if args.table == "yudin":
         ts = _grid(0.0, args.t_max, args.step, "--t-max")
-        vals = np.atleast_1d(yudin_Y(args.d, ts))
-        if args.csv:
-            _emit_csv(["t", "Y"], zip(ts, vals))
-        else:
-            report = yudin_sign_check(args.d, ts)
-            _emit("radial yudin", {"report": report, "table": list(zip(ts, vals))})
-        return 0
-    if args.table == "hankel":
+        _emit_table("radial yudin", ["t", "Y"], ts, np.atleast_1d(yudin_Y(args.d, ts)),
+                    args.csv, lambda: yudin_sign_check(args.d, ts))
+    elif args.table == "hankel":
         ss = _grid(0.0, args.s_max, args.step, "--s-max")
-        vals = yudin_hat_grid(args.d, ss, args.quad_t_max)
-        if args.csv:
-            _emit_csv(["s", "yhat"], zip(ss, vals))
-        else:
-            _emit("radial hankel", {"table": list(zip(ss, vals))})
-        return 0
-    if args.table == "gorbachev-h":
+        _emit_table("radial hankel", ["s", "yhat"], ss,
+                    yudin_hat_grid(args.d, ss, args.quad_t_max), args.csv)
+    elif args.table == "gorbachev-h":
         q = bessel_first_zero(args.d / 2.0)
         if not args.t_max >= q:
             raise UsageError(f"--t-max must be at least the first zero q_{{d/2}} = {q!r}, "
                              f"where the H table starts; got {args.t_max}")
         ts = _grid(q, args.t_max, args.step, "--t-max")
         vals, info = gorbachev_H_grid(args.d, ts, args.quad_t_max)
-        if args.csv:
-            _emit_csv(["t", "H"], zip(ts, vals))
-        else:
-            report = gorbachev_H_report(args.d, ts, args.quad_t_max, grid=(vals, info))
-            _emit("radial gorbachev-h", {"report": report, "table": list(zip(ts, vals))})
-        return 0
-    # ball-transform
-    xs = _grid(0.0, args.t_max, args.step, "--t-max")
-    vals = np.atleast_1d(ball_char_transform(args.d, xs))
-    if args.csv:
-        _emit_csv(["x", "ball_hat"], zip(xs, vals))
+        _emit_table("radial gorbachev-h", ["t", "H"], ts, vals, args.csv,
+                    lambda: gorbachev_H_report(args.d, ts, args.quad_t_max, grid=(vals, info)))
     else:
-        _emit("radial ball-transform", {"table": list(zip(xs, vals))})
+        xs = _grid(0.0, args.t_max, args.step, "--t-max")
+        _emit_table("radial ball-transform", ["x", "ball_hat"], xs,
+                    np.atleast_1d(ball_char_transform(args.d, xs)), args.csv)
     return 0
 
 
@@ -245,6 +236,8 @@ def _cmd_trinomial(args) -> int:
     from .trinomial import example51_comparison, example51_lower_bound, optimize_trinomial
 
     if args.action == "optimize":
+        if args.csv:
+            raise UsageError("--csv applies only to trinomial example51")
         opt = optimize_trinomial()
         _emit("trinomial optimize", {
             "z": opt["z_star"], "value": opt["value"], "coeffs": opt["coeffs"],
@@ -319,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constant", help="two-set / Turan / Delsarte constant via LP")
     p.add_argument("--group", required=True, help='group JSON, e.g. \'{"orders":[6],"normalization":"probability"}\'')
     p.add_argument("--omega-plus", required=True, help="set JSON, 'empty', 'all' or interval '[-1,1]'")
-    p.add_argument("--omega-minus", default="all", help="set for kind two-set (default: all)")
+    p.add_argument("--omega-minus", help="set for kind two-set (default: all)")
     p.add_argument("--kind", choices=["two-set", "turan", "delsarte"], default="two-set")
     p.set_defaults(func=_cmd_constant)
 

@@ -100,12 +100,10 @@ def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case
             "failures": failures, "pass": failures == 0, "instances": instances}
 
 
-def tile_instance(rng: SplitMix64, max_n: int) -> dict:
+def _tile_case(rng: SplitMix64, max_n: int) -> dict:
     n = 2 + rng.below(max_n - 1)
     k = rng.pick(_divisors(n))
     group = make_group([n], "probability")
-    h = list(range(k))
-    lam = list(range(0, n, k))
     kind = rng.below(3)
     if kind == 0:
         omega_minus = SymSet.empty(group)
@@ -113,21 +111,16 @@ def tile_instance(rng: SplitMix64, max_n: int) -> dict:
         omega_minus = SymSet.full(group)
     else:
         omega_minus = SymSet(group, symmetric_mask(rng, group, include_zero=True))
-    return {"group": group, "h": h, "lam": lam, "omega_minus": omega_minus,
-            "desc": {"n": n, "k": k, "omega_minus": omega_minus.elements()}}
-
-
-def _tile_case(rng: SplitMix64, max_n: int) -> dict:
-    inst = tile_instance(rng, max_n)
-    rep = verify_tile_theorem(inst["group"], inst["h"], inst["lam"], inst["omega_minus"])
-    return {**inst["desc"], "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
+    rep = verify_tile_theorem(group, list(range(k)), list(range(0, n, k)), omega_minus)
+    return {"n": n, "k": k, "omega_minus": omega_minus.elements(),
+            "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
 
 
 def run_tile_suite(count: int, seed: int, max_n: int = 40) -> dict:
     return _run_suite("tile", count, seed, max_n, 2, _tile_case)
 
 
-def main_instance(rng: SplitMix64, max_n: int) -> dict:
+def _main_case(rng: SplitMix64, max_n: int) -> dict:
     n = 4 + rng.below(max_n - 3)
     group = make_group([n], "probability")
     if rng.chance(3, 10):
@@ -153,14 +146,9 @@ def main_instance(rng: SplitMix64, max_n: int) -> dict:
                 mask[x] = True
                 mask[group.neg[x]] = True
         omega_plus = SymSet(group, mask)
-    return {"group": group, "omega_plus": omega_plus, "lam": lam,
-            "desc": {"n": n, "omega_plus": omega_plus.elements(), "lam": lam}}
-
-
-def _main_case(rng: SplitMix64, max_n: int) -> dict:
-    inst = main_instance(rng, max_n)
-    rep = verify_main_theorem(inst["group"], inst["omega_plus"], inst["lam"])
-    return {**inst["desc"], "delsarte": rep["delsarte"], "bound": rep["bound"],
+    rep = verify_main_theorem(group, omega_plus, lam)
+    return {"n": n, "omega_plus": omega_plus.elements(), "lam": lam,
+            "delsarte": rep["delsarte"], "bound": rep["bound"],
             "pass": rep["pass"], "tight": rep["tight"]}
 
 
@@ -185,16 +173,16 @@ def hom_instance(rng: SplitMix64, max_n: int) -> dict:
     omega_plus = SymSet(group, symmetric_mask(rng, group, include_zero=True))
     omega_minus = (SymSet.full(group) if rng.chance(1, 3)
                    else SymSet(group, symmetric_mask(rng, group, include_zero=rng.chance(1, 2))))
-    return {"group": group, "k": k_elems, "omega_plus": omega_plus, "omega_minus": omega_minus,
-            "desc": {"n": n, "k": k_elems, "omega_plus": omega_plus.elements(),
-                     "omega_minus": omega_minus.elements()}}
+    return {"group": group, "k": k_elems, "omega_plus": omega_plus, "omega_minus": omega_minus}
 
 
 def _hom_case(rng: SplitMix64, max_n: int) -> dict:
     inst = hom_instance(rng, max_n)
     rep = verify_homomorphism_bound(inst["group"], inst["k"], inst["omega_plus"],
                                     inst["omega_minus"])
-    return {**inst["desc"], "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
+    return {"n": inst["group"].size, "k": inst["k"], "omega_plus": inst["omega_plus"].elements(),
+            "omega_minus": inst["omega_minus"].elements(),
+            "lhs": rep["lhs"], "rhs": rep["rhs"], "pass": rep["pass"]}
 
 
 def run_hom_suite(count: int, seed: int, max_n: int = 24) -> dict:

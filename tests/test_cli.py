@@ -239,6 +239,22 @@ def test_set_elements_are_read_modulo_the_orders(capsys):
     assert json.loads(out)["result"]["omega_plus"] == list(range(6))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["constant", "--group", '{"orders":[6]}', "--omega-plus", "[0,1,5]", "--kind", "turan",
+      "--omega-minus", "garbage"], "--omega-minus applies only to --kind two-set"),
+    (["constant", "--group", '{"orders":[6]}', "--omega-plus", "[0,1,5]", "--kind", "delsarte",
+      "--omega-minus", "all"], "--omega-minus applies only to --kind two-set"),
+    (["trinomial", "optimize", "--csv"], "--csv applies only to trinomial example51"),
+])
+def test_flag_outside_its_command_is_rejected(capsys, argv, message):
+    assert_usage_error(capsys, argv, message)
+
+
+def test_omega_minus_defaults_to_all(capsys):
+    argv = ["constant", "--group", '{"orders":[6]}', "--omega-plus", "[0,1,5]"]
+    assert run(capsys, argv) == run(capsys, argv + ["--omega-minus", "all"])
+
+
 def test_usage_error_exits_one(capsys):
     assert cli.main(["constant", "--group", "{}", "--omega-plus", "[0]"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -362,14 +378,87 @@ def test_gorbachev_h_single_point_table(capsys):
     assert result["report"]["nondecreasing"] and not result["report"]["pass"]
 
 
-def test_jsonable_trinomial_by_type():
+_EMIT_BYTES = """{
+  "artifact_version": "0.1.0",
+  "command": "probe",
+  "result": {
+    "f64": 0.1,
+    "flag": true,
+    "grid": [
+      [
+        1.5,
+        -0.0
+      ],
+      [
+        NaN,
+        2.0
+      ]
+    ],
+    "i64": -7,
+    "nan": NaN,
+    "neg_zero": -0.0,
+    "pairs": [
+      [
+        1.0,
+        [
+          2,
+          3
+        ]
+      ],
+      []
+    ],
+    "periodic": {
+      "period": 5,
+      "residues": [
+        0,
+        2
+      ]
+    },
+    "ratio": {
+      "denominator": 3,
+      "numerator": 1,
+      "value": 0.3333333333333333
+    },
+    "trinomial": {
+      "a": -0.5,
+      "b": 0.25
+    }
+  },
+  "seed": 3,
+  "tolerances": {
+    "lp_pivot": 1e-09,
+    "posdef": 1e-09,
+    "quadrature": 1e-09,
+    "value": 1e-08
+  },
+  "warnings": [
+    "w"
+  ]
+}
+"""
+
+
+def test_emit_bytes_by_type(capsys):
+    from fractions import Fraction
     from types import SimpleNamespace
 
+    import numpy as np
+
+    from pdextremal.density import PeriodicSet
     from pdextremal.trinomial import Trinomial
 
-    assert cli._jsonable(Trinomial(0.5, 0.25)) == {"a": 0.5, "b": 0.25}
-    other = SimpleNamespace(a=1, b=2)
-    assert cli._jsonable(other) is other
+    result = {
+        "f64": np.float64(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
+        "grid": np.array([[1.5, -0.0], [float("nan"), 2.0]]),
+        "pairs": ((np.float64(1.0), (2, np.int64(3))), ()),
+        "ratio": Fraction(1, 3), "periodic": PeriodicSet(5, frozenset({7, 0})),
+        "trinomial": Trinomial(np.float64(-0.5), 0.25),
+        "nan": float("nan"), "neg_zero": -0.0,
+    }
+    cli._emit("probe", result, seed=3, warnings=["w"])
+    assert capsys.readouterr().out == _EMIT_BYTES
+    with pytest.raises(TypeError):
+        cli._emit("probe", {"other": SimpleNamespace(a=1, b=2)})
 
 
 @pytest.mark.parametrize("argv, message", [
