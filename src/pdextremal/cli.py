@@ -1,10 +1,10 @@
 """Command-line surface: constants, verification suites, radial tables,
 trinomial runs and density searches, with machine-readable JSON output.
 
-Exit codes: 0 success/pass, 1 usage or input error, 2 verification failure,
-3 solver or quadrature failure.  Every JSON object carries artifact_version,
-seed and the tolerances in force, and identical argv + seed produce
-byte-identical output.
+Exit codes: 0 success/pass, 1 usage, input or output error, 2 verification
+failure, 3 solver or quadrature failure.  Every JSON object carries
+artifact_version, seed and the tolerances in force, and identical argv + seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -210,8 +211,9 @@ def _cmd_radial(args) -> int:
         raise UsageError(f"--d: dimension must be at most {MAX_DIMENSION}, got {args.d}")
     if args.table == "yudin":
         ts = _grid(0.0, args.t_max, args.step, "--t-max")
-        _emit_table("radial yudin", ["t", "Y"], ts, np.atleast_1d(yudin_Y(args.d, ts)),
-                    args.csv, lambda: yudin_sign_check(args.d, ts))
+        ys = np.atleast_1d(yudin_Y(args.d, ts))
+        _emit_table("radial yudin", ["t", "Y"], ts, ys, args.csv,
+                    lambda: yudin_sign_check(args.d, ts, ys))
     elif args.table == "hankel":
         ss = _grid(0.0, args.s_max, args.step, "--s-max")
         _emit_table("radial hankel", ["s", "yhat"], ss,
@@ -248,7 +250,7 @@ def _cmd_trinomial(args) -> int:
     if args.csv:
         _emit_csv(["x", "phi"], zip(bound["grid"], bound["profile"]))
         return 0
-    comparison = example51_comparison()
+    comparison = example51_comparison(bound)
     result = {
         "bound": bound["bound"],
         "coeffs": bound["coeffs"],
@@ -357,7 +359,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so
+        # the interpreter's final flush neither fails nor prints a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

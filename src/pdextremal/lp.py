@@ -3,9 +3,12 @@
 Maximizes c @ x subject to rows with senses "<=", "=", ">=" and per-variable
 bounds (infinite bounds allowed), using the serial dual simplex of HiGHS
 (Huangfu and Hall, Math. Prog. Comp. 10, 2018) that ships inside scipy,
-single-threaded with a fixed seed so results are deterministic.  An optimal
-answer must pass ``check_certificate``, which recomputes the primal residual,
-the dual signs, dual feasibility and the duality gap from the original data.
+single-threaded with a fixed seed so results are deterministic.  There is one
+HiGHS object per process: its options are set once, at the first ``solve``,
+and each LP replaces the model on it; the tolerances of the tightened re-solve
+are restored before ``solve`` returns.  An optimal answer must pass
+``check_certificate``, which recomputes the primal residual, the dual signs,
+dual feasibility and the duality gap from the original data.
 """
 
 from __future__ import annotations
@@ -19,16 +22,22 @@ from ._scipy import extension
 
 # HiGHS's compiled pybind11 core, scipy.optimize._highspy._core, loaded from
 # its file so that importing it does not run scipy/optimize/__init__.py.  Not
-# linprog: linprog rebuilds an options manager for each option on every call,
-# which makes the thousands of tiny LPs of a verification suite (median 3
-# rows x 6 columns) about 3x slower.
+# linprog: linprog builds a new HiGHS object and sets every option on every
+# call, which would cost about as much as the thousands of tiny LPs of a
+# verification suite (median 4 rows x 6 columns) themselves.  Here there is one
+# HiGHS object per process, options set once, the model replaced per LP, and
+# the tolerances restored after the tightened re-solve.
 highs = extension("scipy.optimize._highspy._core")
 
 _HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1,  # dual
                   "threads": 1, "random_seed": 0,
                   # when presolve cannot tell infeasible from unbounded, HiGHS
                   # re-solves without it instead of reporting the ambiguity
-                  "allow_unbounded_or_infeasible": False}
+                  "allow_unbounded_or_infeasible": False,
+                  # HiGHS's defaults, put back after the tightened re-solve
+                  "primal_feasibility_tolerance": 1e-7, "dual_feasibility_tolerance": 1e-7}
+_TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
+_highs = None  # the process's HiGHS object, made by the first solve
 _STATUS = {highs.HighsModelStatus.kInfeasible: ("infeasible", np.nan),
            highs.HighsModelStatus.kUnbounded: ("unbounded", np.inf)}
 
@@ -155,23 +164,41 @@ def _highs_lp(p: LpProblem):
     return lp
 
 
+def _solver():
+    """The process's HiGHS object, with _HIGHS_OPTIONS set on it once."""
+    global _highs
+    if _highs is None:
+        _highs = highs._Highs()
+        for name, value in _HIGHS_OPTIONS.items():
+            _highs.setOptionValue(name, value)
+    return _highs
+
+
 def solve(problem: LpProblem) -> LpSolution:
     """Solve the LP; optimal solutions carry row duals and a checked certificate.
 
     HiGHS accepts a primal residual within its own feasibility tolerance
     (1e-7), looser than the certificate's 1e-9.  An answer that fails the
     certificate is therefore re-solved once from its basis with both
-    feasibility tolerances at 1e-10 before the failure is reported.
+    feasibility tolerances at 1e-10 before the failure is reported; they are
+    back at 1e-7 when solve returns or raises.
     """
-    h = highs._Highs()
-    for name, value in _HIGHS_OPTIONS.items():
-        h.setOptionValue(name, value)
+    h = _solver()
+    h.clearModel()
     h.passModel(_highs_lp(problem))
+    try:
+        return _run(h, problem)
+    finally:
+        for name in _TOLERANCES:
+            h.setOptionValue(name, _HIGHS_OPTIONS[name])
+
+
+def _run(h, problem: LpProblem) -> LpSolution:
     iterations = 0
     for tightened in (False, True):
         if tightened:
-            h.setOptionValue("primal_feasibility_tolerance", 1e-10)
-            h.setOptionValue("dual_feasibility_tolerance", 1e-10)
+            for name in _TOLERANCES:
+                h.setOptionValue(name, 1e-10)
         h.run()
         status = h.getModelStatus()
         iterations += int(h.getInfo().simplex_iteration_count)

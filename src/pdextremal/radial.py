@@ -121,11 +121,14 @@ def yudin_Y(d: int, t) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def yudin_sign_check(d: int, grid) -> dict:
-    """Y_d >= 0 up to the first Bessel zero and <= 0 beyond; max violation on grid."""
+def yudin_sign_check(d: int, grid, values=None) -> dict:
+    """Y_d >= 0 up to the first Bessel zero and <= 0 beyond; max violation on grid.
+
+    values are Y_d on grid, evaluated here if not given.
+    """
     grid = np.asarray(grid, dtype=np.float64)
     q = bessel_first_zero(d / 2.0 - 1.0)
-    vals = np.atleast_1d(yudin_Y(d, grid))
+    vals = np.atleast_1d(yudin_Y(d, grid) if values is None else values)
     before = grid <= q
     violation = 0.0
     if np.any(before):

@@ -207,11 +207,12 @@ def example51_lower_bound(grid_step: float = 1e-3) -> dict:
             "grid": xs, "profile": phi}
 
 
-def example51_comparison() -> dict:
+def example51_comparison(lower_bound: dict | None = None) -> dict:
     """D(W) = 2 by the discretized tile route, against the trinomial bound for Q.
 
     W = (-2, 2) is the difference set of the interval tile (-1, 1); on Z_n with
     weight h it discretizes to H - H for H = {0, ..., m-1}, m * h = 2.
+    lower_bound is example51_lower_bound()'s result, computed here if not given.
     """
     from fractions import Fraction
 
@@ -232,7 +233,7 @@ def example51_comparison() -> dict:
         tile_values.append({"h": h, "n": n, "value": value,
                             "pass": bool(abs(value - 2.0) <= 1e-8)})
 
-    lb = example51_lower_bound()
+    lb = example51_lower_bound() if lower_bound is None else lower_bound
     search = max_density_search([1, 4], max_period=10)
     report = {
         "w_constant_values": tile_values,

@@ -350,22 +350,64 @@ def test_radial_rejects_bad_inputs(capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
-def test_gorbachev_h_report_reuses_the_table_grid(capsys, monkeypatch):
-    import pdextremal.radial as radial
-
+def _count_calls(monkeypatch, module, name):
     calls = []
-    grid = radial.gorbachev_H_grid
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return grid(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(radial, "gorbachev_H_grid", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_gorbachev_h_report_reuses_the_table_grid(capsys, monkeypatch):
+    import pdextremal.radial as radial
+
+    calls = _count_calls(monkeypatch, radial, "gorbachev_H_grid")
     code, out = run(capsys, ["radial", "gorbachev-h", "--d", "2", "--t-max", "10"])
     assert code == 0
     assert len(calls) == 1
     result = json.loads(out)["result"]
     assert result["report"] == radial.gorbachev_H_report(2, [t for t, _ in result["table"]])
+
+
+def test_yudin_report_reuses_the_table_values(capsys, monkeypatch):
+    import pdextremal.radial as radial
+
+    calls = _count_calls(monkeypatch, radial, "yudin_Y")
+    code, out = run(capsys, ["radial", "yudin", "--d", "3", "--t-max", "10"])
+    assert code == 0
+    assert len(calls) == 1
+    result = json.loads(out)["result"]
+    assert result["report"] == radial.yudin_sign_check(3, [t for t, _ in result["table"]])
+
+
+def test_example51_computes_its_bound_once(capsys, monkeypatch):
+    import pdextremal.trinomial as trinomial
+
+    calls = _count_calls(monkeypatch, trinomial, "example51_lower_bound")
+    code, out = run(capsys, ["trinomial", "example51"])
+    assert code == 0
+    assert len(calls) == 1
+    result = json.loads(out)["result"]
+    assert result["comparison"]["q_lower_bound"] == result["bound"]
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    src = os.path.dirname(os.path.dirname(pdextremal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # ~300,000 CSV lines: far more than the pipe holds, so writing blocks
+    # until the reader closes its end
+    proc = subprocess.Popen([sys.executable, "-m", "pdextremal.cli", "radial", "yudin",
+                             "--d", "3", "--csv", "--step", "0.0001"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"t,Y\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_gorbachev_h_single_point_table(capsys):

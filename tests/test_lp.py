@@ -247,3 +247,45 @@ def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
                   A_eq=problem.a[eq], b_eq=problem.b[eq], bounds=(0, None), method="highs")
     assert ref.status == 0
     assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def _outcome(problem):
+    try:
+        sol = solve(problem)
+    except SolverFailure as exc:
+        return "SolverFailure", str(exc)
+    return (sol.status, sol.iterations,
+            None if sol.x is None else sol.x.tobytes(),
+            None if sol.dual is None else sol.dual.tobytes())
+
+
+def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
+    from pdextremal import extremal, lp
+    from pdextremal.groups import SymSet, make_group
+
+    problems = []
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "solve", lambda p: problems.append(p) or solve(p))
+        g = make_group([240], "probability")
+        extremal.delsarte(g, SymSet.from_elements(g, Z240_OMEGA_PLUS))  # the tightened re-solve
+    problems += [box([1], [[1]], [-1], ["<="]),  # infeasible
+                 box([1], np.zeros((0, 1)), np.zeros(0), []),  # unbounded
+                 box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="]),  # SolverFailure
+                 *_cases()]
+
+    shared = lp._solver()
+    history = []
+    for p in problems:
+        history.append(_outcome(p))
+        assert lp._solver() is shared
+        for name in lp._TOLERANCES:
+            assert shared.getOptionValue(name)[1] == 1e-7
+    assert history[0][0] == "optimal" and history[3][0] == "SolverFailure"
+    assert [o[0] for o in history[1:3]] == ["infeasible", "unbounded"]
+
+    fresh = []
+    for p in problems:
+        monkeypatch.setattr(lp, "_highs", None)  # the next solve makes a new object
+        fresh.append(_outcome(p))
+        assert lp._solver() is not shared
+    assert history == fresh
