@@ -10,6 +10,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,8 +239,6 @@ def _cmd_trinomial(args) -> int:
     from .trinomial import example51_comparison, example51_lower_bound, optimize_trinomial
 
     if args.action == "optimize":
-        if args.csv:
-            raise UsageError("--csv applies only to trinomial example51")
         opt = optimize_trinomial()
         _emit("trinomial optimize", {
             "z": opt["z_star"], "value": opt["value"], "coeffs": opt["coeffs"],
@@ -303,6 +302,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
+@functools.cache  # built at the first main call, then reused: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdextremal",
@@ -326,29 +326,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("radial", help="emit radial function tables")
-    p.add_argument("table", choices=["yudin", "hankel", "gorbachev-h", "ball-transform"])
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--t-max", type=float, default=30.0)
-    p.add_argument("--s-max", type=float, default=3.0)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--quad-t-max", type=float, default=60.0)
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_radial)
+    tables = p.add_subparsers(dest="table", required=True)
+    # each table's grid-end flag, and whether it integrates out to --quad-t-max
+    for table, (end, default, quad) in {"yudin": ("--t-max", 30.0, False),
+                                        "hankel": ("--s-max", 3.0, True),
+                                        "gorbachev-h": ("--t-max", 30.0, True),
+                                        "ball-transform": ("--t-max", 30.0, False)}.items():
+        t = tables.add_parser(table)
+        t.add_argument("--d", type=int, default=1)
+        t.add_argument(end, type=float, default=default)
+        t.add_argument("--step", type=float, default=0.05)
+        if quad:
+            t.add_argument("--quad-t-max", type=float, default=60.0)
+        t.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("trinomial", help="extremal trinomial and the real-line bound")
-    p.add_argument("action", choices=["optimize", "example51"])
-    p.add_argument("--csv", action="store_true", help="emit the profile grid as CSV")
     p.set_defaults(func=_cmd_trinomial)
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("optimize")
+    actions.add_parser("example51").add_argument("--csv", action="store_true",
+                                                 help="emit the profile grid as CSV")
 
     p = sub.add_parser("density", help="periodic density search and helpers")
-    p.add_argument("action", choices=["search", "auud", "shadow"])
-    p.add_argument("--forbidden", default="[]", help="JSON list of forbidden differences")
-    p.add_argument("--max-period", type=int, default=24)
-    p.add_argument("--period", type=int, default=1)
-    p.add_argument("--residues", default="[0]", help="JSON list of residues")
-    p.add_argument("--intervals", default="[]", help="JSON list of [lo, hi] pairs")
-    p.add_argument("--closed", action="store_true", help="treat intervals as closed")
     p.set_defaults(func=_cmd_density)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("search")
+    a.add_argument("--forbidden", default="[]", help="JSON list of forbidden differences")
+    a.add_argument("--max-period", type=int, default=24)
+    a = actions.add_parser("auud")
+    a.add_argument("--period", type=int, default=1)
+    a.add_argument("--residues", default="[0]", help="JSON list of residues")
+    a = actions.add_parser("shadow")
+    a.add_argument("--intervals", default="[]", help="JSON list of [lo, hi] pairs")
+    a.add_argument("--closed", action="store_true", help="treat intervals as closed")
     return parser
 
 

@@ -34,7 +34,7 @@ class PeriodicSet:
 
     def __post_init__(self):
         if self.period < 1:
-            raise ValueError("period must be positive")
+            raise ValueError(f"period (--period) must be positive, got {self.period}")
         object.__setattr__(self, "residues", frozenset(int(r) % self.period for r in self.residues))
 
     def density(self) -> Fraction:
@@ -155,9 +155,11 @@ def max_density_search(forbidden_diffs: Iterable[int], max_period: int) -> dict:
     """
     forbidden = sorted({int(f) for f in forbidden_diffs})
     if any(f <= 0 for f in forbidden):
-        raise ValueError("forbidden differences must be positive integers")
+        raise ValueError(f"forbidden differences (--forbidden) must be positive integers, "
+                         f"got {forbidden[0]}")
     if max_period < 1 or max_period > 24:
-        raise ValueError("max_period must be between 1 and 24 (exhaustive search bound)")
+        raise ValueError(f"max_period (--max-period) must be between 1 and 24 "
+                         f"(exhaustive search bound), got {max_period}")
     if not forbidden:
         return {"density": Fraction(1), "witness": PeriodicSet(1, frozenset([0])),
                 "search_bound": max_period}

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -172,6 +173,9 @@ def assert_usage_error(capsys, argv, message):
     ["density", "shadow", "--intervals", "[[0, Infinity]]"],
     ["density", "shadow", "--intervals", "[[true, 3]]"],
     ["density", "shadow", "--intervals", "[[0, 1e300]]"],
+    ["density", "auud", "--period", "0"],
+    ["density", "search", "--forbidden", "[0]"],
+    ["density", "search", "--max-period", "25"],
 ])
 def test_density_rejects_bad_inputs(capsys, argv):
     assert_usage_error(capsys, argv, argv[2])
@@ -244,10 +248,90 @@ def test_set_elements_are_read_modulo_the_orders(capsys):
       "--omega-minus", "garbage"], "--omega-minus applies only to --kind two-set"),
     (["constant", "--group", '{"orders":[6]}', "--omega-plus", "[0,1,5]", "--kind", "delsarte",
       "--omega-minus", "all"], "--omega-minus applies only to --kind two-set"),
-    (["trinomial", "optimize", "--csv"], "--csv applies only to trinomial example51"),
 ])
 def test_flag_outside_its_command_is_rejected(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
+
+
+_FOREIGN_FLAGS = [
+    (["radial", "yudin"], ["--s-max", "3"]),
+    (["radial", "yudin"], ["--quad-t-max", "60"]),
+    (["radial", "hankel"], ["--t-max", "30"]),
+    (["radial", "gorbachev-h"], ["--s-max", "3"]),
+    (["radial", "ball-transform"], ["--s-max", "3"]),
+    (["radial", "ball-transform"], ["--quad-t-max", "60"]),
+    (["density", "search"], ["--period", "5"]),
+    (["density", "search"], ["--residues", "[0]"]),
+    (["density", "search"], ["--intervals", "[[1]]"]),
+    (["density", "search"], ["--closed"]),
+    (["density", "auud"], ["--forbidden", "[1]"]),
+    (["density", "auud"], ["--max-period", "10"]),
+    (["density", "auud"], ["--intervals", "[[1]]"]),
+    (["density", "auud"], ["--closed"]),
+    (["density", "shadow"], ["--forbidden", "[1]"]),
+    (["density", "shadow"], ["--max-period", "10"]),
+    (["density", "shadow"], ["--period", "5"]),
+    (["density", "shadow"], ["--residues", "[0]"]),
+    (["trinomial", "optimize"], ["--csv"]),
+]
+
+
+@pytest.mark.parametrize("action, flag", _FOREIGN_FLAGS,
+                         ids=[" ".join(action + flag[:1]) for action, flag in _FOREIGN_FLAGS])
+def test_foreign_flag_is_rejected(capsys, action, flag):
+    code = cli.main(action + flag)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag[0]}" in captured.err, captured.err
+
+
+# the flags each action word accepts, besides --help
+_LEAF_FLAGS = {
+    ("radial", "yudin"): {"--d", "--t-max", "--step", "--csv"},
+    ("radial", "hankel"): {"--d", "--s-max", "--step", "--quad-t-max", "--csv"},
+    ("radial", "gorbachev-h"): {"--d", "--t-max", "--step", "--quad-t-max", "--csv"},
+    ("radial", "ball-transform"): {"--d", "--t-max", "--step", "--csv"},
+    ("trinomial", "optimize"): set(),
+    ("trinomial", "example51"): {"--csv"},
+    ("density", "search"): {"--forbidden", "--max-period"},
+    ("density", "auud"): {"--period", "--residues"},
+    ("density", "shadow"): {"--intervals", "--closed"},
+}
+
+
+def _leaves(parser, path=()):
+    words = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not words:
+        yield path, parser
+    for action in words:
+        for word, child in action.choices.items():
+            yield from _leaves(child, path + (word,))
+
+
+def test_each_action_declares_only_its_own_flags():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    flags = {path: {s for a in leaf._actions for s in a.option_strings} - {"-h", "--help"}
+             for path, leaf in _leaves(parser) if len(path) == 2}
+    assert flags == _LEAF_FLAGS
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(pdextremal.__file__))
+    done = subprocess.run([sys.executable, "-m", "pdextremal.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize("argv, switch", [
+    (["radial", "yudin", "--d", "2", "--t-max", "2", "--step", "0.5"], "--csv"),
+    (["density", "shadow", "--intervals", "[[-2,2],[3,4]]"], "--closed"),
+])
+def test_reused_parser_carries_no_value_over(capsys, argv, switch):
+    first = run(capsys, argv + [switch])
+    assert first[0] == 0
+    assert run(capsys, argv) == _fresh_process(argv) != first
 
 
 def test_omega_minus_defaults_to_all(capsys):
