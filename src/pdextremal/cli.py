@@ -304,28 +304,31 @@ def _cmd_density(args) -> int:
 
 @functools.cache  # built at the first main call, then reused: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a flag is spelled in full, so which argv
+    # parse does not depend on the other flags a parser happens to declare
     parser = argparse.ArgumentParser(
-        prog="pdextremal",
+        prog="pdextremal", allow_abbrev=False,
         description="Extremal constants for positive definite functions on finite "
                     "abelian groups, with radial and trinomial constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constant", help="two-set / Turan / Delsarte constant via LP")
+    p = sub.add_parser("constant", allow_abbrev=False,
+                       help="two-set / Turan / Delsarte constant via LP")
     p.add_argument("--group", required=True, help='group JSON, e.g. \'{"orders":[6],"normalization":"probability"}\'')
     p.add_argument("--omega-plus", required=True, help="set JSON, 'empty', 'all' or interval '[-1,1]'")
     p.add_argument("--omega-minus", help="set for kind two-set (default: all)")
     p.add_argument("--kind", choices=["two-set", "turan", "delsarte"], default="two-set")
     p.set_defaults(func=_cmd_constant)
 
-    p = sub.add_parser("verify", help="randomized verification suites")
+    p = sub.add_parser("verify", allow_abbrev=False, help="randomized verification suites")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--fuzz", type=int, default=50, help="number of random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=None, help="largest group size")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("radial", help="emit radial function tables")
+    p = sub.add_parser("radial", allow_abbrev=False, help="emit radial function tables")
     p.set_defaults(func=_cmd_radial)
     tables = p.add_subparsers(dest="table", required=True)
     # each table's grid-end flag, and whether it integrates out to --quad-t-max
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "hankel": ("--s-max", 3.0, True),
                                         "gorbachev-h": ("--t-max", 30.0, True),
                                         "ball-transform": ("--t-max", 30.0, False)}.items():
-        t = tables.add_parser(table)
+        t = tables.add_parser(table, allow_abbrev=False)
         t.add_argument("--d", type=int, default=1)
         t.add_argument(end, type=float, default=default)
         t.add_argument("--step", type=float, default=0.05)
@@ -341,23 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
             t.add_argument("--quad-t-max", type=float, default=60.0)
         t.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("trinomial", help="extremal trinomial and the real-line bound")
+    p = sub.add_parser("trinomial", allow_abbrev=False,
+                       help="extremal trinomial and the real-line bound")
     p.set_defaults(func=_cmd_trinomial)
     actions = p.add_subparsers(dest="action", required=True)
-    actions.add_parser("optimize")
-    actions.add_parser("example51").add_argument("--csv", action="store_true",
-                                                 help="emit the profile grid as CSV")
+    actions.add_parser("optimize", allow_abbrev=False)
+    actions.add_parser("example51", allow_abbrev=False).add_argument(
+        "--csv", action="store_true", help="emit the profile grid as CSV")
 
-    p = sub.add_parser("density", help="periodic density search and helpers")
+    p = sub.add_parser("density", allow_abbrev=False, help="periodic density search and helpers")
     p.set_defaults(func=_cmd_density)
     actions = p.add_subparsers(dest="action", required=True)
-    a = actions.add_parser("search")
+    a = actions.add_parser("search", allow_abbrev=False)
     a.add_argument("--forbidden", default="[]", help="JSON list of forbidden differences")
     a.add_argument("--max-period", type=int, default=24)
-    a = actions.add_parser("auud")
+    a = actions.add_parser("auud", allow_abbrev=False)
     a.add_argument("--period", type=int, default=1)
     a.add_argument("--residues", default="[0]", help="JSON list of residues")
-    a = actions.add_parser("shadow")
+    a = actions.add_parser("shadow", allow_abbrev=False)
     a.add_argument("--intervals", default="[]", help="JSON list of [lo, hi] pairs")
     a.add_argument("--closed", action="store_true", help="treat intervals as closed")
     return parser

@@ -64,7 +64,7 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     least index of its class, -1 leaving it out; the identity default is G.
     Variables are the spectrum values per conjugate pair of character
     classes, so positive definiteness becomes plain nonnegativity bounds; the
-    support conditions become sign rows on f(x) = (1/(M w)) sum_k u_k
+    support conditions become row bounds on f(x) = (1/(M w)) sum_k u_k
     rho_k(x) over the M character classes, f(0) = 1 is a single equality, and
     the objective is the trivial character's value.
     """
@@ -84,14 +84,13 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     reps = np.flatnonzero((elems == idx) & (idx <= elems[neg]))
 
     # one row per element class: f(0) = 1 (scaled by M w), then a sign row
-    # for every class outside Omega+ or outside Omega-
+    # for every class outside Omega+ (f <= 0) or outside Omega- (f >= 0)
     keep = ~(inside_plus[reps] & inside_minus[reps])
     keep[0] = True
     rows = reps[keep]
-    senses = np.where(inside_plus[rows], ">=", np.where(inside_minus[rows], "<=", "="))
-    senses[0] = "="
-    rhs = np.zeros(rows.shape[0])
-    rhs[0] = np.count_nonzero(chars == idx) * group.weight
+    upper = np.where(inside_plus[rows], np.inf, 0.0)
+    lower = np.where(inside_minus[rows], -np.inf, 0.0)
+    lower[0] = upper[0] = scale = np.count_nonzero(chars == idx) * group.weight
 
     # rho_k(x): character pair k summed over the class pair of x; chi_k(-x) has the
     # exact phase (-p) mod L, added as such, not doubled, so values are bit-stable
@@ -104,7 +103,7 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
 
     c = np.zeros(char_reps.shape[0])
     c[0] = 1.0  # the trivial-character value is the Haar integral of f
-    sol = solve(LpProblem(c, rho.T, rhs, senses.tolist()))
+    sol = solve(LpProblem(c, rho.T, lower, upper))
     if sol.status != "optimal":
         raise SolverFailure(f"extremal LP ended with status {sol.status}")
 
@@ -113,7 +112,7 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     spectrum[char_reps] = sol.x
     spectrum[neg[char_reps]] = sol.x
     f_values = np.zeros(n)
-    f_values[reps] = sol.x @ base / rhs[0]
+    f_values[reps] = sol.x @ base / scale
     f_values[neg[reps]] = f_values[reps]
     return value, f_values, spectrum, "optimal"
 

@@ -88,7 +88,7 @@ def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case
     if not 0 <= count <= MAX_COUNT:
         raise ValueError(f"instance count (--fuzz) must be from 0 to {MAX_COUNT}, got {count}")
     if max_n < smallest:
-        raise ValueError(f"max_n must be at least {smallest} for this suite, got {max_n}")
+        raise ValueError(f"max_n (--max-n) must be at least {smallest} for this suite, got {max_n}")
     limit = int(MAX_GROUP ** (1.0 / factors))
     if max_n > limit:
         raise ValueError(f"max_n (--max-n) must be at most {limit} for this suite "

@@ -1,20 +1,24 @@
 """Dense LPs solved by HiGHS, accepted only behind our own certificate check.
 
-Maximizes c @ x subject to rows with senses "<=", "=", ">=" and per-variable
-bounds (infinite bounds allowed), using the serial dual simplex of HiGHS
-(Huangfu and Hall, Math. Prog. Comp. 10, 2018) that ships inside scipy,
-single-threaded with a fixed seed so results are deterministic.  There is one
-HiGHS object per process: its options are set once, at the first ``solve``,
-and each LP replaces the model on it; the tolerances of the tightened re-solve
-are restored before ``solve`` returns.  An optimal answer must pass
-``check_certificate``, which recomputes the primal residual, the dual signs,
-dual feasibility and the duality gap from the original data.
+Maximizes c @ x subject to row bounds row_lower <= a @ x <= row_upper and
+variable bounds lower <= x <= upper, the form HiGHS takes itself: an infinite
+bound is absent and equal bounds make an equality row.  The extremal LPs
+state the paper's support conditions this way, f <= 0 off Omega+ as an upper
+bound 0 and f >= 0 off Omega- as a lower bound 0.  Every LP is solved by the
+serial dual simplex of HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018)
+that ships inside scipy, single-threaded with a fixed seed so results are
+deterministic.  There is one HiGHS object per process: its options are set
+once, at the first ``solve``, and each LP replaces the model on it; the
+tolerances of the tightened re-solve are restored before ``solve`` returns.
+An optimal answer must pass ``check_certificate``, which recomputes the
+primal residual, the dual signs, dual feasibility and the duality gap from
+the original data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -50,38 +54,40 @@ class QuadratureError(RuntimeError):
     """Successive quadrature refinements failed to agree within tolerance."""
 
 
+def _bounds(lo, hi, size: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi as float arrays of shape (size,), checked to be a bound pair."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if lo.shape != (size,) or hi.shape != (size,):
+        raise ValueError(f"{what} bounds have shapes {lo.shape} and {hi.shape}, "
+                         f"expected ({size},)")
+    bad = np.flatnonzero(~(lo <= hi) | (lo == np.inf) | (hi == -np.inf))  # NaN fails lo <= hi
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{what} {i} has bounds [{lo[i]}, {hi[i]}]: need lower <= upper, "
+                         "no NaN, lower < inf and upper > -inf")
+    return lo, hi
+
+
 @dataclass
 class LpProblem:
     c: np.ndarray
     a: np.ndarray
-    b: np.ndarray
-    senses: Sequence[str]
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    lower: Optional[np.ndarray] = None  # default 0
+    upper: Optional[np.ndarray] = None  # default inf
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
         n = self.c.shape[0]
-        self.a = np.asarray(self.a, dtype=np.float64).reshape(-1, max(n, 0)) if n else \
-            np.zeros((len(self.b), 0))
-        self.b = np.asarray(self.b, dtype=np.float64)
-        m = self.a.shape[0]
-        if self.b.shape != (m,):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        self.senses = tuple(self.senses)
-        if len(self.senses) != m:
-            raise ValueError("one sense per row required")
-        for s in self.senses:
-            if s not in ("<=", "=", ">="):
-                raise ValueError(f"unknown row sense {s!r}")
-        self.lower = (
-            np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=np.float64)
-        )
-        self.upper = (
-            np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=np.float64)
-        )
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.c))):
-            raise ValueError("matrix, rhs and objective entries must be finite")
+        self.a = np.asarray(self.a, dtype=np.float64).reshape(-1, n) if n else \
+            np.zeros((len(self.row_lower), 0))
+        self.row_lower, self.row_upper = _bounds(self.row_lower, self.row_upper, self.nrows, "row")
+        self.lower, self.upper = _bounds(
+            np.zeros(n) if self.lower is None else self.lower,
+            np.full(n, np.inf) if self.upper is None else self.upper, n, "variable")
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.c))):
+            raise ValueError("matrix and objective entries must be finite")
 
     @property
     def nvars(self) -> int:
@@ -90,13 +96,6 @@ class LpProblem:
     @property
     def nrows(self) -> int:
         return self.a.shape[0]
-
-    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row activity bounds (lower, upper) encoding the senses."""
-        senses = np.asarray(self.senses)
-        lo = np.where(senses == "<=", -np.inf, self.b)
-        hi = np.where(senses == ">=", np.inf, self.b)
-        return lo, hi
 
 
 @dataclass
@@ -110,34 +109,44 @@ class LpSolution:
     iterations: int = 0
 
 
+def _price(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """(violation, value) of the dual prices v on the bound pairs (lo, hi).
+
+    Each price is paid at the bound it pushes toward, hi for v > 0 and lo for
+    v < 0.  Where that bound is infinite the price is a violation of |v| and
+    is paid at the other bound instead, or at 0 if both are infinite.
+    """
+    up = v > 0
+    toward, other = np.where(up, hi, lo), np.where(up, lo, hi)
+    open_ = np.isinf(toward)
+    at = np.where(open_, np.where(np.isinf(other), 0.0, other), toward)
+    return float(np.max(np.abs(v[open_]), initial=0.0)), float(v @ at)
+
+
 def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Check that x and row duals y prove each other optimal.
 
-    Row duals follow the maximization convention: y >= 0 on "<=" rows,
-    y <= 0 on ">=" rows, free on "=" rows.  Returns (max_violation,
-    dual_objective); raises SolverFailure naming every check that fails.
+    Row duals follow the maximization convention: y_i > 0 prices row i at
+    its upper bound and y_i < 0 at its lower bound, and the reduced costs
+    c - a^T y price the variable bounds the same way.  Returns
+    (max_violation, dual_objective); raises SolverFailure naming every check
+    that fails.
     """
     p = problem
-    row_lo, row_hi = p.row_bounds()
     ax = p.a @ x
-    residual = max(0.0, *(float(np.max(v, initial=0.0)) for v in
-                          (ax - row_hi, row_lo - ax, p.lower - x, x - p.upper)))
-    senses = np.asarray(p.senses)
-    sign_error = float(np.max(np.where(senses == "<=", -y, np.where(senses == ">=", y, 0.0)),
-                              initial=0.0))
-    # each reduced cost is paid at the bound it pushes toward; an infinite
-    # such bound makes the dual infeasible by |d_j|
-    d = p.c - p.a.T @ y
-    bound = np.where(d > 0, p.upper, p.lower)
-    finite = np.isfinite(bound)
-    dual_infeasibility = float(np.max(np.abs(d[~finite]), initial=0.0))
-    dual_objective = float(p.b @ y + d[finite] @ bound[finite])
+    residual = float(np.max([np.max(v, initial=0.0) for v in  # NaN propagates
+                             (ax - p.row_upper, p.row_lower - ax, p.lower - x, x - p.upper)]))
+    sign_error, row_value = _price(y, p.row_lower, p.row_upper)
+    dual_infeasibility, column_value = _price(p.c - p.a.T @ y, p.lower, p.upper)
+    dual_objective = row_value + column_value
     objective = float(p.c @ x)
     gap = abs(objective - dual_objective)
 
+    row_bounds = np.concatenate([p.row_lower, p.row_upper])
+    scale = float(np.max(np.abs(row_bounds[np.isfinite(row_bounds)]), initial=0.0))
     dual_tol = 1e-9 * (1.0 + float(np.max(np.abs(p.c), initial=0.0)))
     checks = (
-        ("residual", residual, 1e-9 * (1.0 + float(np.max(np.abs(p.b), initial=0.0)))),
+        ("residual", residual, 1e-9 * (1.0 + scale)),
         ("dual sign", sign_error, dual_tol),
         ("dual infeasibility", dual_infeasibility, dual_tol),
         ("duality gap", gap, 1e-8 * (1.0 + abs(objective))),
@@ -154,7 +163,7 @@ def _highs_lp(p: LpProblem):
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_ = -p.c  # HiGHS minimizes
     lp.col_lower_, lp.col_upper_ = p.lower, p.upper
-    lp.row_lower_, lp.row_upper_ = p.row_bounds()
+    lp.row_lower_, lp.row_upper_ = p.row_lower, p.row_upper
     matrix = lp.a_matrix_
     matrix.format_ = highs.MatrixFormat.kRowwise
     matrix.num_col_, matrix.num_row_ = n, m

@@ -273,6 +273,11 @@ _FOREIGN_FLAGS = [
     (["density", "shadow"], ["--period", "5"]),
     (["density", "shadow"], ["--residues", "[0]"]),
     (["trinomial", "optimize"], ["--csv"]),
+    # flags are spelled in full: an abbreviation of the action's own flag is foreign too
+    (["density", "search"], ["--forb", "[1,4]", "--max-p", "10"]),
+    (["radial", "yudin"], ["--s", "0.5", "--t-max", "1"]),
+    (["verify", "tile", "--fuzz", "1"], ["--max", "5"]),
+    (["constant", "--group", '{"orders":[6]}', "--omega-plus", "[0]"], ["--omega-m", "all"]),
 ]
 
 
@@ -315,6 +320,7 @@ def test_each_action_declares_only_its_own_flags():
     flags = {path: {s for a in leaf._actions for s in a.option_strings} - {"-h", "--help"}
              for path, leaf in _leaves(parser) if len(path) == 2}
     assert flags == _LEAF_FLAGS
+    assert not any(leaf.allow_abbrev for _, leaf in _leaves(parser))  # flags spelled in full
 
 
 def _fresh_process(argv):
@@ -385,9 +391,16 @@ def test_verify_rejects_bad_sizes(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+# each suite's smallest --max-n: the size of its smallest group
+_SMALLEST_MAX_N = {"tile": 2, "main": 4, "hom": 4, "product": 2, "auto": 3, "density": 2,
+                   "ineq": 2}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "hom", "--max-n", "2049"], "(--max-n) must be at most 2048"),
     (["verify", "product", "--max-n", "46"], "(--max-n) must be at most 45"),
+    *((["verify", suite, "--max-n", str(n - 1)], f"max_n (--max-n) must be at least {n} ")
+      for suite, n in _SMALLEST_MAX_N.items()),
 ])
 def test_verify_limits_group_size(capsys, argv, message):
     assert_usage_error(capsys, argv, message)

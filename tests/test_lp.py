@@ -6,8 +6,43 @@ from pdextremal.lp import LpProblem, SolverFailure, check_certificate, solve
 
 
 def box(c, a, b, senses, lower=None, upper=None):
-    return LpProblem(np.asarray(c, float), np.asarray(a, float), np.asarray(b, float),
-                     senses, lower, upper)
+    """The LP with rows a @ x <sense> b, as row bounds."""
+    b, senses = np.asarray(b, float), np.asarray(senses)
+    return LpProblem(np.asarray(c, float), np.asarray(a, float),
+                     np.where(senses == "<=", -np.inf, b), np.where(senses == ">=", np.inf, b),
+                     lower, upper)
+
+
+def _linprog(p):
+    """scipy's linprog on p: a row with equal bounds is an equality, and each
+    finite bound of another row an inequality, in row order."""
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, lo, hi in zip(p.a, p.row_lower, p.row_upper):
+        if lo == hi:
+            a_eq.append(row)
+            b_eq.append(lo)
+            continue
+        if hi < np.inf:
+            a_ub.append(row)
+            b_ub.append(hi)
+        if lo > -np.inf:
+            a_ub.append(-row)
+            b_ub.append(-lo)
+    return linprog(
+        -p.c,
+        A_ub=np.asarray(a_ub) if a_ub else None,
+        b_ub=np.asarray(b_ub) if b_ub else None,
+        A_eq=np.asarray(a_eq) if a_eq else None,
+        b_eq=np.asarray(b_eq) if b_eq else None,
+        bounds=list(zip(p.lower, p.upper)),
+        method="highs",
+    )
+
+
+def _rhs_scale(p):
+    """The largest finite row bound in absolute value."""
+    bounds = np.concatenate([p.row_lower, p.row_upper])
+    return np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0)
 
 
 def test_box_maximum():
@@ -113,30 +148,11 @@ def test_random_instances_match_scipy():
     for _ in range(60):
         p = _random_instance(rng)
         sol = solve(p)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, s, rhs in zip(p.a, p.senses, p.b):
-            if s == "<=":
-                a_ub.append(row)
-                b_ub.append(rhs)
-            elif s == ">=":
-                a_ub.append(-row)
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(row)
-                b_eq.append(rhs)
-        ref = linprog(
-            -p.c,
-            A_ub=np.asarray(a_ub) if a_ub else None,
-            b_ub=np.asarray(b_ub) if b_ub else None,
-            A_eq=np.asarray(a_eq) if a_eq else None,
-            b_eq=np.asarray(b_eq) if b_eq else None,
-            bounds=list(zip(p.lower, p.upper)),
-            method="highs",
-        )
+        ref = _linprog(p)
         if sol.status == "optimal":
             assert ref.status == 0
             assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6, rel=1e-6)
-            assert sol.max_violation <= 1e-9 * (1 + np.max(np.abs(p.b)))
+            assert sol.max_violation <= 1e-9 * (1 + _rhs_scale(p))
             assert abs(sol.objective_value - sol.dual_objective) <= 1e-8 * (1 + abs(sol.objective_value))
             solved += 1
         elif sol.status == "infeasible":
@@ -239,12 +255,9 @@ def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
     # ... and solve re-runs it from that basis into a checked optimum
     assert res.status == "optimal"
     sol = solve(problem)
-    assert sol.max_violation <= 1e-9 * (1 + np.max(np.abs(problem.b)))
+    assert sol.max_violation <= 1e-9 * (1 + _rhs_scale(problem))
     assert sol.objective_value == res.value
-    eq = np.asarray(problem.senses) == "="
-    sign = np.where(np.asarray(problem.senses) == ">=", -1.0, 1.0)[~eq]
-    ref = linprog(-problem.c, A_ub=problem.a[~eq] * sign[:, None], b_ub=problem.b[~eq] * sign,
-                  A_eq=problem.a[eq], b_eq=problem.b[eq], bounds=(0, None), method="highs")
+    ref = _linprog(problem)
     assert ref.status == 0
     assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
 
@@ -289,3 +302,31 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
         fresh.append(_outcome(p))
         assert lp._solver() is not shared
     assert history == fresh
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("rows, columns", [
+    (([np.nan], [1]), ([0], [INF])),  # NaN row bound
+    (([-INF], [np.nan]), ([0], [INF])),
+    (([2], [1]), ([0], [INF])),  # inverted row bounds
+    (([INF], [INF]), ([0], [INF])),  # row lower bound +inf
+    (([-INF], [-INF]), ([0], [INF])),  # row upper bound -inf
+    (([-INF], [1]), ([np.nan], [INF])),  # NaN variable bound
+    (([-INF], [1]), ([0], [np.nan])),
+    (([-INF], [1]), ([1], [0])),  # inverted variable bounds
+    (([-INF], [1]), ([INF], [INF])),  # variable lower bound +inf
+    (([-INF], [1]), ([-INF], [-INF])),  # variable upper bound -inf
+    (([-INF, -INF], [1]), ([0], [INF])),  # shapes differ
+    (([-INF], [1]), ([0, 0], [INF])),
+])
+def test_bounds_are_validated(rows, columns):
+    with pytest.raises(ValueError, match="bounds"):
+        LpProblem([1], [[1]], *rows, *columns)
+
+
+def test_nan_primal_fails_the_residual():
+    p = box([1], [[1]], [1], ["<="])
+    with pytest.raises(SolverFailure, match="residual nan"):
+        check_certificate(p, np.array([np.nan]), np.array([1.0]))
