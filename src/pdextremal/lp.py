@@ -13,16 +13,32 @@ tolerances of the tightened re-solve are restored before ``solve`` returns.
 An optimal answer must pass ``check_certificate``, which recomputes the
 primal residual, the dual signs, dual feasibility and the duality gap from
 the original data.
+
+The verification suites draw small random sets, so one process meets the
+same LP many times.  ``solve`` keeps the optimal answers of the process in a
+memo keyed by a digest of the LP's arrays, holding at most a fixed number of
+bytes with the oldest answer dropped first.  A repeated LP is answered from
+the memo with ``iterations`` 0, after its certificate is checked again
+against the caller's own data; an answer that fails that check is solved
+again.  HiGHS's answer depends only on the model, so a remembered answer is
+the one a new solve would give.  Infeasible, unbounded and failed solves are
+not remembered.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._scipy import extension
+
+try:  # hashlib loads OpenSSL, ~3 ms of every import; its blake2b is this one
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 # HiGHS's compiled pybind11 core, scipy.optimize._highspy._core, loaded from
 # its file so that importing it does not run scipy/optimize/__init__.py.  Not
@@ -42,6 +58,12 @@ _HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy":
                   "primal_feasibility_tolerance": 1e-7, "dual_feasibility_tolerance": 1e-7}
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
 _highs = None  # the process's HiGHS object, made by the first solve
+# the memo's budget, charged per answer for its x and dual arrays and for the
+# ~550 bytes of key, dict slot and array objects that hold them: a few
+# hundred answers of the largest LPs a suite may draw (N = 2048), or over
+# ten thousand verify-sized ones
+_MEMO_BYTES = 8 * 2**20
+_ENTRY_BYTES = 640
 _STATUS = {highs.HighsModelStatus.kInfeasible: ("infeasible", np.nan),
            highs.HighsModelStatus.kUnbounded: ("unbounded", np.inf)}
 
@@ -183,6 +205,39 @@ def _solver():
     return _highs
 
 
+class _Memo:
+    """Optimal (x, dual) pairs by LP key, oldest first, within budget bytes."""
+
+    def __init__(self, budget: int = _MEMO_BYTES):
+        self.budget, self.nbytes, self.entries = budget, 0, OrderedDict()
+
+    @staticmethod
+    def _size(x: np.ndarray, y: np.ndarray) -> int:
+        return x.nbytes + y.nbytes + _ENTRY_BYTES
+
+    def put(self, key, x: np.ndarray, y: np.ndarray) -> None:
+        if key in self.entries:
+            self.nbytes -= self._size(*self.entries.pop(key))
+        size = self._size(x, y)
+        if size > self.budget:
+            return
+        self.entries[key] = x, y
+        self.nbytes += size
+        while self.nbytes > self.budget:
+            self.nbytes -= self._size(*self.entries.popitem(last=False)[1])
+
+
+_solved = _Memo()  # the process's certified optimal answers
+
+
+def _key(p: LpProblem) -> tuple:
+    """The shape of a and a digest of the LP's six arrays."""
+    digest = blake2b(digest_size=16)
+    for v in (p.c, p.a, p.row_lower, p.row_upper, p.lower, p.upper):
+        digest.update(np.ascontiguousarray(v))
+    return p.a.shape, digest.digest()
+
+
 def solve(problem: LpProblem) -> LpSolution:
     """Solve the LP; optimal solutions carry row duals and a checked certificate.
 
@@ -190,16 +245,36 @@ def solve(problem: LpProblem) -> LpSolution:
     (1e-7), looser than the certificate's 1e-9.  An answer that fails the
     certificate is therefore re-solved once from its basis with both
     feasibility tolerances at 1e-10 before the failure is reported; they are
-    back at 1e-7 when solve returns or raises.
+    back at 1e-7 when solve returns or raises.  An LP solved before in this
+    process is answered from the memo, checked again against problem; the
+    arrays x and dual of an optimal answer are read-only.
     """
+    key = _key(problem)
+    known = _solved.entries.get(key)
+    if known is not None:
+        try:
+            return _optimal(problem, *known, iterations=0)
+        except SolverFailure:
+            pass  # another LP with the same digest: solve this one
     h = _solver()
     h.clearModel()
     h.passModel(_highs_lp(problem))
     try:
-        return _run(h, problem)
+        sol = _run(h, problem)
     finally:
         for name in _TOLERANCES:
             h.setOptionValue(name, _HIGHS_OPTIONS[name])
+    if sol.status == "optimal":
+        sol.x.flags.writeable = sol.dual.flags.writeable = False
+        _solved.put(key, sol.x, sol.dual)
+    return sol
+
+
+def _optimal(problem: LpProblem, x: np.ndarray, y: np.ndarray, iterations: int) -> LpSolution:
+    """The optimal answer (x, y) once check_certificate has accepted it."""
+    max_violation, dual_objective = check_certificate(problem, x, y)
+    return LpSolution("optimal", x, float(problem.c @ x), y, dual_objective=dual_objective,
+                      max_violation=max_violation, iterations=iterations)
 
 
 def _run(h, problem: LpProblem) -> LpSolution:
@@ -223,10 +298,7 @@ def _run(h, problem: LpProblem) -> LpSolution:
         x = np.asarray(solution.col_value, dtype=np.float64)
         y = -np.asarray(solution.row_dual, dtype=np.float64)  # duals of the minimization
         try:
-            max_violation, dual_objective = check_certificate(problem, x, y)
+            return _optimal(problem, x, y, iterations)
         except SolverFailure:
             if tightened:
                 raise
-            continue
-        return LpSolution("optimal", x, float(problem.c @ x), y, dual_objective=dual_objective,
-                          max_violation=max_violation, iterations=iterations)

@@ -613,7 +613,7 @@ _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
-         "pdextremal.radial", "pdextremal.trinomial")
+         "pdextremal.radial", "pdextremal.trinomial", "hashlib")
 import pdextremal.cli
 after_cli = [m for m in HEAVY if m in sys.modules]
 import pdextremal

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from pdextremal import lp
 from pdextremal.lp import LpProblem, SolverFailure, check_certificate, solve
 
 
@@ -102,14 +103,23 @@ def test_dual_certificate_simple():
     assert abs(sol.objective_value - sol.dual_objective) <= 1e-8
 
 
-def test_determinism_same_bytes():
+def _forget(monkeypatch):
+    """Empty the memo, so that the next solve of any LP runs HiGHS."""
+    monkeypatch.setattr(lp, "_solved", lp._Memo())
+
+
+def test_determinism_same_bytes(monkeypatch):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(6, 4))
     b = rng.uniform(1, 3, size=6)
     c = rng.normal(size=4)
     p1 = box(c, a, b, ["<="] * 6, upper=[10] * 4)
     p2 = box(c.copy(), a.copy(), b.copy(), ["<="] * 6, upper=[10] * 4)
-    s1, s2 = solve(p1), solve(p2)
+    _forget(monkeypatch)
+    s1 = solve(p1)
+    _forget(monkeypatch)
+    s2 = solve(p2)
+    assert s1.iterations > 0 and s2.iterations > 0
     assert s1.x.tobytes() == s2.x.tobytes()
     assert s1.objective_value == s2.objective_value
 
@@ -233,14 +243,21 @@ Z240_OMEGA_PLUS = [0, 1, 18, 21, 30, 31, 40, 52, 57, 58, 72, 76, 83, 85, 88, 101
 
 
 def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
-    from pdextremal import extremal, lp
+    from pdextremal import extremal
     from pdextremal.groups import SymSet, make_group
 
-    problems = []
-    monkeypatch.setattr(extremal, "solve", lambda p: problems.append(p) or solve(p))
+    problems, solutions = [], []
+
+    def record(p):
+        problems.append(p)
+        solutions.append(solve(p))
+        return solutions[-1]
+
+    monkeypatch.setattr(extremal, "solve", record)
+    _forget(monkeypatch)
     g = make_group([240], "probability")
     res = extremal.delsarte(g, SymSet.from_elements(g, Z240_OMEGA_PLUS))
-    (problem,) = problems
+    (problem,), (first_sol,) = problems, solutions
 
     # HiGHS's answer at its default tolerances fails the certificate ...
     h = lp.highs._Highs()
@@ -252,9 +269,11 @@ def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
     with pytest.raises(SolverFailure, match="residual"):
         check_certificate(problem, np.asarray(first.col_value), -np.asarray(first.row_dual))
 
-    # ... and solve re-runs it from that basis into a checked optimum
-    assert res.status == "optimal"
+    # ... and solve re-runs it from that basis into a checked optimum, which
+    # the memo then answers again
+    assert res.status == "optimal" and first_sol.iterations > 0
     sol = solve(problem)
+    assert sol.iterations == 0 and sol.x.tobytes() == first_sol.x.tobytes()
     assert sol.max_violation <= 1e-9 * (1 + _rhs_scale(problem))
     assert sol.objective_value == res.value
     ref = _linprog(problem)
@@ -273,7 +292,7 @@ def _outcome(problem):
 
 
 def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
-    from pdextremal import extremal, lp
+    from pdextremal import extremal
     from pdextremal.groups import SymSet, make_group
 
     problems = []
@@ -289,16 +308,19 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
     shared = lp._solver()
     history = []
     for p in problems:
+        _forget(monkeypatch)  # HiGHS, not the memo, answers every LP below
         history.append(_outcome(p))
         assert lp._solver() is shared
         for name in lp._TOLERANCES:
             assert shared.getOptionValue(name)[1] == 1e-7
     assert history[0][0] == "optimal" and history[3][0] == "SolverFailure"
+    assert history[0][1] > 0
     assert [o[0] for o in history[1:3]] == ["infeasible", "unbounded"]
 
     fresh = []
     for p in problems:
         monkeypatch.setattr(lp, "_highs", None)  # the next solve makes a new object
+        _forget(monkeypatch)
         fresh.append(_outcome(p))
         assert lp._solver() is not shared
     assert history == fresh
@@ -330,3 +352,137 @@ def test_nan_primal_fails_the_residual():
     p = box([1], [[1]], [1], ["<="])
     with pytest.raises(SolverFailure, match="residual nan"):
         check_certificate(p, np.array([np.nan]), np.array([1.0]))
+
+
+def _highs_runs(monkeypatch):
+    """A list that gets one entry per LP that solve hands to HiGHS."""
+    runs = []
+    run = lp._run
+    monkeypatch.setattr(lp, "_run", lambda h, p: runs.append(p) or run(h, p))
+    return runs
+
+
+def _copy(p, **changes):
+    """A new LpProblem with p's data, each array copied, and some replaced."""
+    data = {name: getattr(p, name).copy()
+            for name in ("c", "a", "row_lower", "row_upper", "lower", "upper")}
+    return LpProblem(**{**data, **changes})
+
+
+def test_repeated_lp_is_answered_from_the_memo(monkeypatch):
+    p = _random_instance(np.random.default_rng(7))
+    _forget(monkeypatch)
+    runs = _highs_runs(monkeypatch)
+    first = solve(p)
+    again = solve(_copy(p))
+    assert first.status == "optimal" and first.iterations > 0
+    assert len(runs) == 1 and again.iterations == 0
+    _forget(monkeypatch)
+    fresh = solve(p)
+    assert len(runs) == 2 and fresh.iterations == first.iterations
+    for sol in (first, again):
+        assert sol.x.tobytes() == fresh.x.tobytes() and sol.dual.tobytes() == fresh.dual.tobytes()
+        assert (sol.objective_value, sol.dual_objective, sol.max_violation) == \
+            (fresh.objective_value, fresh.dual_objective, fresh.max_violation)
+
+
+def test_changed_entry_is_a_miss(monkeypatch):
+    p = LpProblem([1, 2], [[1, 1], [1, -1]], [-np.inf, -1], [4, 1], upper=[3, 3])
+    _forget(monkeypatch)
+    runs = _highs_runs(monkeypatch)
+    solve(p)
+
+    def nudged(name, index):
+        v = getattr(p, name).copy()
+        v[index] += 0.5
+        return _copy(p, **{name: v})
+
+    variants = [nudged("c", 1), nudged("a", (1, 0)), nudged("row_upper", 0),
+                nudged("row_lower", 1), nudged("lower", 0), nudged("upper", 1)]
+    for q in variants:
+        solve(q)
+    assert len(runs) == 7 and all(r is q for r, q in zip(runs, [p, *variants]))
+    assert len(lp._solved.entries) == 1 + len(variants)
+
+
+def test_remembered_arrays_are_read_only(monkeypatch):
+    p = box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
+    _forget(monkeypatch)
+    for sol in (solve(p), solve(p)):
+        assert not sol.x.flags.writeable and not sol.dual.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sol.x[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            sol.dual[0] = 5.0
+    assert solve(p).x.tolist() == pytest.approx([1.0, 1.0])
+
+
+def test_failed_and_nonoptimal_outcomes_are_not_remembered(monkeypatch):
+    _forget(monkeypatch)
+    runs = _highs_runs(monkeypatch)
+    infeasible = box([1], [[1]], [-1], ["<="])
+    unbounded = box([1], np.zeros((0, 1)), np.zeros(0), [])
+    failing = box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="])
+    for _ in range(2):
+        assert solve(infeasible).status == "infeasible"
+        assert solve(unbounded).status == "unbounded"
+        with pytest.raises(SolverFailure, match="residual"):
+            solve(failing)
+    assert len(runs) == 6
+    assert not lp._solved.entries and lp._solved.nbytes == 0
+
+
+def test_remembered_answer_that_fails_its_check_is_solved_again(monkeypatch):
+    p = box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
+    _forget(monkeypatch)
+    runs = _highs_runs(monkeypatch)
+    lp._solved.put(lp._key(p), np.array([2.0, 2.0]), np.array([1.0, 1.0]))  # infeasible x
+    sol = solve(p)
+    assert len(runs) == 1
+    assert sol.x.tolist() == pytest.approx([1.0, 1.0])
+    (x, y), = lp._solved.entries.values()
+    assert x is sol.x and y is sol.dual
+    assert lp._solved.nbytes == x.nbytes + y.nbytes + lp._ENTRY_BYTES
+    assert solve(p).x is sol.x and len(runs) == 1
+
+
+def test_memo_keeps_within_its_budget_and_drops_the_oldest(monkeypatch):
+    assert lp._solved.budget == lp._MEMO_BYTES <= 16 * 2**20
+    entry = 2 * 8 + 2 * 8 + lp._ENTRY_BYTES  # two variables, two rows
+    memo = lp._Memo(budget=10 * entry + entry // 2)
+    monkeypatch.setattr(lp, "_solved", memo)
+    problems = [box([1, 1], [[1, 0], [0, 1]], [k, 1], ["<=", "<="]) for k in range(1, 31)]
+    for p in problems:
+        solve(p)
+        assert memo.nbytes <= memo.budget
+    assert list(memo.entries) == [lp._key(p) for p in problems[-10:]]
+    assert memo.nbytes == 10 * entry
+
+    runs = _highs_runs(monkeypatch)
+    assert solve(problems[-1]).iterations == 0 and not runs  # kept
+    solve(problems[0])  # dropped, so solved again
+    assert len(runs) == 1 and runs[0] is problems[0] and len(memo.entries) == 10
+    assert lp._key(problems[1]) not in memo.entries  # the oldest made room for it
+
+
+def test_answer_larger_than_the_budget_is_not_remembered(monkeypatch):
+    memo = lp._Memo(budget=lp._ENTRY_BYTES)
+    monkeypatch.setattr(lp, "_solved", memo)
+    assert solve(box([1], [[1]], [1], ["<="])).status == "optimal"
+    assert not memo.entries and memo.nbytes == 0
+
+
+def test_memo_budget_bounds_its_memory():
+    import tracemalloc
+
+    memo = lp._Memo(budget=2**16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(5000):  # the smallest answers, where the Python objects dominate
+            memo.put(((1, 1), k.to_bytes(16, "little")), np.full(1, float(k)), np.zeros(1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert memo.nbytes <= memo.budget and len(memo.entries) < 5000
+    assert held <= memo.budget
