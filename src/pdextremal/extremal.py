@@ -19,10 +19,20 @@ Groups, 1962):
   characters that agree on K, and one row per element of K;
 * (G/K)^ is the annihilator K^perp: C_{G/K} keeps those characters and has
   one row per coset of K, a coset meeting Omega+- counting as inside it.
+
+The verification suites draw small random sets, so one process meets the same
+LP many times.  ``_solve`` keeps the optimal answers of the process in a memo,
+holding at most a fixed number of bytes with the oldest answer dropped first.
+Its key is exact: the group's orders and weight, the class labels, and which
+element classes meet Omega+ and Omega-, as bytes.  The LP is a function of
+that key alone, so a repeat is the identical LP, and it is answered before
+anything is assembled, with no re-check: its answer passed ``lp.solve``'s
+certificate check when it was first solved.  Failed solves are not remembered.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +49,14 @@ VALUE_TOL = 1e-8
 # --max-n 400 one could run for minutes
 WITNESS_NODES = 10**6
 
+# the memo's budget, charged per answer for its two value arrays, the byte
+# strings of its key and the tuples, floats and array objects and dict slot
+# that hold them (400-600 bytes measured with tracemalloc): a few hundred answers
+# of the largest LPs a suite may draw (N = 2048), or thousands of verify-sized
+# ones
+_MEMO_BYTES = 8 * 2**20
+_ENTRY_BYTES = 768
+
 
 class NotAStrictTiling(ValueError):
     """H does not tile the group in the strict sense with the given translates."""
@@ -46,6 +64,30 @@ class NotAStrictTiling(ValueError):
 
 class ConditionViolated(ValueError):
     """The packing-type precondition of the main estimate fails."""
+
+
+class _Memo:
+    """Answers of _solve by LP key, oldest first, within budget bytes."""
+
+    def __init__(self, budget: int = _MEMO_BYTES):
+        self.budget, self.nbytes, self.entries = budget, 0, OrderedDict()
+
+    @staticmethod
+    def _size(key: tuple, answer: tuple) -> int:
+        strings = sum(len(b) for b in key[2:] if b is not None)  # labels, Omega+-
+        return strings + answer[1].nbytes + answer[2].nbytes + _ENTRY_BYTES
+
+    def put(self, key: tuple, answer: tuple) -> None:
+        size = self._size(key, answer)
+        if size > self.budget:
+            return
+        self.entries[key] = answer
+        self.nbytes += size
+        while self.nbytes > self.budget:
+            self.nbytes -= self._size(*self.entries.popitem(last=False))
+
+
+_solved = _Memo()  # the process's optimal answers of _solve
 
 
 @dataclass
@@ -67,9 +109,16 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     support conditions become row bounds on f(x) = (1/(M w)) sum_k u_k
     rho_k(x) over the M character classes, f(0) = 1 is a single equality, and
     the objective is the trivial character's value.
+
+    An optimal answer is kept in the memo, its arrays read-only, and a repeat
+    of its key is answered from there before any assembly.  The key holds
+    every input the LP is built from, so the repeat is the identical LP and
+    the answer needs no second certificate check.
     """
     n = group.size
     idx = np.arange(n)
+    labels = tuple(None if v is None else np.asarray(v, dtype=np.int64).tobytes()
+                   for v in (chars, elems))  # None: the identity labels of G
     chars = idx if chars is None else chars
     elems = idx if elems is None else elems
     inside_plus, inside_minus = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -77,6 +126,11 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     inside_minus[elems[mask_minus & (elems >= 0)]] = True
     if not inside_plus[0]:
         return 0.0, np.zeros(n), np.zeros(n), "infeasible-zero"
+    inside_minus[0] = True  # row 0 is f(0) = 1 whether or not 0 is in Omega-
+    key = (group.orders, group.weight, *labels, inside_plus.tobytes(), inside_minus.tobytes())
+    known = _solved.entries.get(key)
+    if known is not None:
+        return known
 
     neg = group.neg
     # one representative per class pair {C, -C}, for characters and elements alike
@@ -114,7 +168,10 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     f_values = np.zeros(n)
     f_values[reps] = sol.x @ base / scale
     f_values[neg[reps]] = f_values[reps]
-    return value, f_values, spectrum, "optimal"
+    f_values.flags.writeable = spectrum.flags.writeable = False
+    answer = value, f_values, spectrum, "optimal"
+    _solved.put(key, answer)
+    return answer
 
 
 def two_set_constant(group: Group, omega_plus: SymSet, omega_minus: SymSet) -> ExtremalResult:

@@ -13,32 +13,16 @@ tolerances of the tightened re-solve are restored before ``solve`` returns.
 An optimal answer must pass ``check_certificate``, which recomputes the
 primal residual, the dual signs, dual feasibility and the duality gap from
 the original data.
-
-The verification suites draw small random sets, so one process meets the
-same LP many times.  ``solve`` keeps the optimal answers of the process in a
-memo keyed by a digest of the LP's arrays, holding at most a fixed number of
-bytes with the oldest answer dropped first.  A repeated LP is answered from
-the memo with ``iterations`` 0, after its certificate is checked again
-against the caller's own data; an answer that fails that check is solved
-again.  HiGHS's answer depends only on the model, so a remembered answer is
-the one a new solve would give.  Infeasible, unbounded and failed solves are
-not remembered.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._scipy import extension
-
-try:  # hashlib loads OpenSSL, ~3 ms of every import; its blake2b is this one
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
 
 # HiGHS's compiled pybind11 core, scipy.optimize._highspy._core, loaded from
 # its file so that importing it does not run scipy/optimize/__init__.py.  Not
@@ -58,12 +42,7 @@ _HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy":
                   "primal_feasibility_tolerance": 1e-7, "dual_feasibility_tolerance": 1e-7}
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
 _highs = None  # the process's HiGHS object, made by the first solve
-# the memo's budget, charged per answer for its x and dual arrays and for the
-# ~550 bytes of key, dict slot and array objects that hold them: a few
-# hundred answers of the largest LPs a suite may draw (N = 2048), or over
-# ten thousand verify-sized ones
-_MEMO_BYTES = 8 * 2**20
-_ENTRY_BYTES = 640
+_ROWWISE, _MINIMIZE = int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize)
 _STATUS = {highs.HighsModelStatus.kInfeasible: ("infeasible", np.nan),
            highs.HighsModelStatus.kUnbounded: ("unbounded", np.inf)}
 
@@ -131,36 +110,33 @@ class LpSolution:
     iterations: int = 0
 
 
-def _price(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-    """(violation, value) of the dual prices v on the bound pairs (lo, hi).
-
-    Each price is paid at the bound it pushes toward, hi for v > 0 and lo for
-    v < 0.  Where that bound is infinite the price is a violation of |v| and
-    is paid at the other bound instead, or at 0 if both are infinite.
-    """
-    up = v > 0
-    toward, other = np.where(up, hi, lo), np.where(up, lo, hi)
-    open_ = np.isinf(toward)
-    at = np.where(open_, np.where(np.isinf(other), 0.0, other), toward)
-    return float(np.max(np.abs(v[open_]), initial=0.0)), float(v @ at)
-
-
 def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Check that x and row duals y prove each other optimal.
 
     Row duals follow the maximization convention: y_i > 0 prices row i at
     its upper bound and y_i < 0 at its lower bound, and the reduced costs
-    c - a^T y price the variable bounds the same way.  Returns
+    c - a^T y price the variable bounds the same way.  Where the bound a
+    price pushes toward is infinite, the price is a violation of its size and
+    is paid at the other bound instead, or at 0 if both are infinite.  Returns
     (max_violation, dual_objective); raises SolverFailure naming every check
     that fails.
     """
     p = problem
+    m = p.nrows
     ax = p.a @ x
-    residual = float(np.max([np.max(v, initial=0.0) for v in  # NaN propagates
-                             (ax - p.row_upper, p.row_lower - ax, p.lower - x, x - p.upper)]))
-    sign_error, row_value = _price(y, p.row_lower, p.row_upper)
-    dual_infeasibility, column_value = _price(p.c - p.a.T @ y, p.lower, p.upper)
-    dual_objective = row_value + column_value
+    residual = float(np.max(np.concatenate(  # NaN propagates
+        [ax - p.row_upper, p.row_lower - ax, p.lower - x, x - p.upper]), initial=0.0))
+    # rows then columns: the row duals and the reduced costs on their bounds
+    v = np.concatenate([y, p.c - p.a.T @ y])
+    lo, hi = np.concatenate([p.row_lower, p.lower]), np.concatenate([p.row_upper, p.upper])
+    up = v > 0
+    toward, other = np.where(up, hi, lo), np.where(up, lo, hi)
+    open_ = np.isinf(toward)
+    at = np.where(open_, np.where(np.isinf(other), 0.0, other), toward)
+    off = np.where(open_, np.abs(v), 0.0)
+    sign_error = float(np.max(off[:m], initial=0.0))
+    dual_infeasibility = float(np.max(off[m:], initial=0.0))
+    dual_objective = float(v[:m] @ at[:m]) + float(v[m:] @ at[m:])
     objective = float(p.c @ x)
     gap = abs(objective - dual_objective)
 
@@ -179,20 +155,14 @@ def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple
     return residual, dual_objective
 
 
-def _highs_lp(p: LpProblem):
+def _pass_model(h, p: LpProblem) -> None:
+    """Replace the model on h with p, passed as arrays: the dense matrix row by
+    row, the costs negated (HiGHS minimizes) and every column continuous."""
     m, n = p.nrows, p.nvars
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = -p.c  # HiGHS minimizes
-    lp.col_lower_, lp.col_upper_ = p.lower, p.upper
-    lp.row_lower_, lp.row_upper_ = p.row_lower, p.row_upper
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kRowwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_ = np.arange(m + 1) * n
-    matrix.index_ = np.tile(np.arange(n), m)
-    matrix.value_ = p.a.ravel()
-    return lp
+    h.clearModel()  # a model HiGHS rejects is not passed: the run then ends "Not Set"
+    h.passModel(n, m, m * n, _ROWWISE, _MINIMIZE, 0.0, -p.c, p.lower, p.upper, p.row_lower,
+                p.row_upper, np.arange(m, dtype=np.int32) * n,
+                np.tile(np.arange(n, dtype=np.int32), m), p.a.ravel(), np.zeros(n, dtype=np.int32))
 
 
 def _solver():
@@ -205,39 +175,6 @@ def _solver():
     return _highs
 
 
-class _Memo:
-    """Optimal (x, dual) pairs by LP key, oldest first, within budget bytes."""
-
-    def __init__(self, budget: int = _MEMO_BYTES):
-        self.budget, self.nbytes, self.entries = budget, 0, OrderedDict()
-
-    @staticmethod
-    def _size(x: np.ndarray, y: np.ndarray) -> int:
-        return x.nbytes + y.nbytes + _ENTRY_BYTES
-
-    def put(self, key, x: np.ndarray, y: np.ndarray) -> None:
-        if key in self.entries:
-            self.nbytes -= self._size(*self.entries.pop(key))
-        size = self._size(x, y)
-        if size > self.budget:
-            return
-        self.entries[key] = x, y
-        self.nbytes += size
-        while self.nbytes > self.budget:
-            self.nbytes -= self._size(*self.entries.popitem(last=False)[1])
-
-
-_solved = _Memo()  # the process's certified optimal answers
-
-
-def _key(p: LpProblem) -> tuple:
-    """The shape of a and a digest of the LP's six arrays."""
-    digest = blake2b(digest_size=16)
-    for v in (p.c, p.a, p.row_lower, p.row_upper, p.lower, p.upper):
-        digest.update(np.ascontiguousarray(v))
-    return p.a.shape, digest.digest()
-
-
 def solve(problem: LpProblem) -> LpSolution:
     """Solve the LP; optimal solutions carry row duals and a checked certificate.
 
@@ -245,60 +182,44 @@ def solve(problem: LpProblem) -> LpSolution:
     (1e-7), looser than the certificate's 1e-9.  An answer that fails the
     certificate is therefore re-solved once from its basis with both
     feasibility tolerances at 1e-10 before the failure is reported; they are
-    back at 1e-7 when solve returns or raises.  An LP solved before in this
-    process is answered from the memo, checked again against problem; the
-    arrays x and dual of an optimal answer are read-only.
+    back at 1e-7 when solve returns or raises.
     """
-    key = _key(problem)
-    known = _solved.entries.get(key)
-    if known is not None:
-        try:
-            return _optimal(problem, *known, iterations=0)
-        except SolverFailure:
-            pass  # another LP with the same digest: solve this one
     h = _solver()
-    h.clearModel()
-    h.passModel(_highs_lp(problem))
+    _pass_model(h, problem)
+    first = _answer(h, problem, 0)
     try:
-        sol = _run(h, problem)
+        return _certified(problem, first)
+    except SolverFailure:
+        pass  # solved again below at tighter tolerances
+    for name in _TOLERANCES:
+        h.setOptionValue(name, 1e-10)
+    try:
+        return _certified(problem, _answer(h, problem, first.iterations))
     finally:
         for name in _TOLERANCES:
             h.setOptionValue(name, _HIGHS_OPTIONS[name])
+
+
+def _answer(h, problem: LpProblem, iterations: int) -> LpSolution:
+    """HiGHS's answer after one more run, its certificate not yet checked."""
+    h.run()
+    status = h.getModelStatus()
+    iterations += int(h.getInfoValue("simplex_iteration_count")[1])
+    if status in _STATUS:
+        name, value = _STATUS[status]
+        return LpSolution(name, None, value, None, iterations=iterations)
+    # with no columns HiGHS reports an empty model without reading the rows;
+    # the certificate check still does
+    if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
+        raise SolverFailure(f"HiGHS ended with status {h.modelStatusToString(status)}")
+    solution = h.getSolution()
+    x = np.asarray(solution.col_value, dtype=np.float64)
+    y = -np.asarray(solution.row_dual, dtype=np.float64)  # duals of the minimization
+    return LpSolution("optimal", x, float(problem.c @ x), y, iterations=iterations)
+
+
+def _certified(problem: LpProblem, sol: LpSolution) -> LpSolution:
+    """sol, with its certificate checked and recorded if it is optimal."""
     if sol.status == "optimal":
-        sol.x.flags.writeable = sol.dual.flags.writeable = False
-        _solved.put(key, sol.x, sol.dual)
+        sol.max_violation, sol.dual_objective = check_certificate(problem, sol.x, sol.dual)
     return sol
-
-
-def _optimal(problem: LpProblem, x: np.ndarray, y: np.ndarray, iterations: int) -> LpSolution:
-    """The optimal answer (x, y) once check_certificate has accepted it."""
-    max_violation, dual_objective = check_certificate(problem, x, y)
-    return LpSolution("optimal", x, float(problem.c @ x), y, dual_objective=dual_objective,
-                      max_violation=max_violation, iterations=iterations)
-
-
-def _run(h, problem: LpProblem) -> LpSolution:
-    iterations = 0
-    for tightened in (False, True):
-        if tightened:
-            for name in _TOLERANCES:
-                h.setOptionValue(name, 1e-10)
-        h.run()
-        status = h.getModelStatus()
-        iterations += int(h.getInfo().simplex_iteration_count)
-        if status in _STATUS:
-            name, value = _STATUS[status]
-            return LpSolution(name, None, value, None, iterations=iterations)
-        # with no columns HiGHS reports an empty model without reading the rows;
-        # the certificate check below still does
-        if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
-            raise SolverFailure(f"HiGHS ended with status {h.modelStatusToString(status)}")
-
-        solution = h.getSolution()
-        x = np.asarray(solution.col_value, dtype=np.float64)
-        y = -np.asarray(solution.row_dual, dtype=np.float64)  # duals of the minimization
-        try:
-            return _optimal(problem, x, y, iterations)
-        except SolverFailure:
-            if tightened:
-                raise

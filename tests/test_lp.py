@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pdextremal import lp
-from pdextremal.lp import LpProblem, SolverFailure, check_certificate, solve
+from pdextremal import extremal, lp
+from pdextremal.extremal import two_set_constant
+from pdextremal.groups import SymSet, make_group
+from pdextremal.lp import LpProblem, LpSolution, SolverFailure, check_certificate, solve
 
 
 def box(c, a, b, senses, lower=None, upper=None):
@@ -78,6 +80,13 @@ def test_no_columns():
         solve(box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="]))
 
 
+def test_model_highs_rejects_is_a_solver_failure():
+    # HiGHS refuses matrix entries of 1e15 and more, which LpProblem accepts
+    with pytest.raises(SolverFailure, match="HiGHS ended with status Not Set"):
+        solve(box([1], [[1e300]], [1], ["<="]))
+    assert solve(box([1], [[1]], [1], ["<="])).objective_value == pytest.approx(1.0, abs=1e-9)
+
+
 def test_equality_and_free_variables():
     # maximize x - y subject to x + y = 3, x <= 2, y free
     p = box([1, -1], [[1, 1], [1, 0]], [3, 2], ["=", "<="],
@@ -104,20 +113,18 @@ def test_dual_certificate_simple():
 
 
 def _forget(monkeypatch):
-    """Empty the memo, so that the next solve of any LP runs HiGHS."""
-    monkeypatch.setattr(lp, "_solved", lp._Memo())
+    """Empty the extremal memo, so that the next extremal LP reaches solve."""
+    monkeypatch.setattr(extremal, "_solved", extremal._Memo())
 
 
-def test_determinism_same_bytes(monkeypatch):
+def test_determinism_same_bytes():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(6, 4))
     b = rng.uniform(1, 3, size=6)
     c = rng.normal(size=4)
     p1 = box(c, a, b, ["<="] * 6, upper=[10] * 4)
     p2 = box(c.copy(), a.copy(), b.copy(), ["<="] * 6, upper=[10] * 4)
-    _forget(monkeypatch)
     s1 = solve(p1)
-    _forget(monkeypatch)
     s2 = solve(p2)
     assert s1.iterations > 0 and s2.iterations > 0
     assert s1.x.tobytes() == s2.x.tobytes()
@@ -243,9 +250,6 @@ Z240_OMEGA_PLUS = [0, 1, 18, 21, 30, 31, 40, 52, 57, 58, 72, 76, 83, 85, 88, 101
 
 
 def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
-    from pdextremal import extremal
-    from pdextremal.groups import SymSet, make_group
-
     problems, solutions = [], []
 
     def record(p):
@@ -263,17 +267,19 @@ def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
     h = lp.highs._Highs()
     for name, value in lp._HIGHS_OPTIONS.items():
         h.setOptionValue(name, value)
-    h.passModel(lp._highs_lp(problem))
+    lp._pass_model(h, problem)
     h.run()
     first = h.getSolution()
     with pytest.raises(SolverFailure, match="residual"):
         check_certificate(problem, np.asarray(first.col_value), -np.asarray(first.row_dual))
 
     # ... and solve re-runs it from that basis into a checked optimum, which
-    # the memo then answers again
+    # the extremal memo then answers again without solving
     assert res.status == "optimal" and first_sol.iterations > 0
-    sol = solve(problem)
-    assert sol.iterations == 0 and sol.x.tobytes() == first_sol.x.tobytes()
+    again = extremal.delsarte(g, SymSet.from_elements(g, Z240_OMEGA_PLUS))
+    assert len(problems) == 1
+    assert np.float64(again.value).tobytes() == np.float64(res.value).tobytes()
+    sol = first_sol
     assert sol.max_violation <= 1e-9 * (1 + _rhs_scale(problem))
     assert sol.objective_value == res.value
     ref = _linprog(problem)
@@ -292,10 +298,8 @@ def _outcome(problem):
 
 
 def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
-    from pdextremal import extremal
-    from pdextremal.groups import SymSet, make_group
-
     problems = []
+    _forget(monkeypatch)  # the Z_240 LP reaches solve
     with monkeypatch.context() as m:
         m.setattr(extremal, "solve", lambda p: problems.append(p) or solve(p))
         g = make_group([240], "probability")
@@ -308,7 +312,6 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
     shared = lp._solver()
     history = []
     for p in problems:
-        _forget(monkeypatch)  # HiGHS, not the memo, answers every LP below
         history.append(_outcome(p))
         assert lp._solver() is shared
         for name in lp._TOLERANCES:
@@ -320,7 +323,6 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
     fresh = []
     for p in problems:
         monkeypatch.setattr(lp, "_highs", None)  # the next solve makes a new object
-        _forget(monkeypatch)
         fresh.append(_outcome(p))
         assert lp._solver() is not shared
     assert history == fresh
@@ -354,133 +356,193 @@ def test_nan_primal_fails_the_residual():
         check_certificate(p, np.array([np.nan]), np.array([1.0]))
 
 
-def _highs_runs(monkeypatch):
-    """A list that gets one entry per LP that solve hands to HiGHS."""
-    runs = []
-    run = lp._run
-    monkeypatch.setattr(lp, "_run", lambda h, p: runs.append(p) or run(h, p))
-    return runs
+# The memo of certified answers lives in extremal._solve, above lp.solve: a
+# repeated extremal LP is answered before it is built.
+
+def _lp_solves(monkeypatch):
+    """A list that gets one entry per LP that extremal hands to lp.solve."""
+    calls = []
+    monkeypatch.setattr(extremal, "solve", lambda p: calls.append(p) or solve(p))
+    return calls
 
 
-def _copy(p, **changes):
-    """A new LpProblem with p's data, each array copied, and some replaced."""
-    data = {name: getattr(p, name).copy()
-            for name in ("c", "a", "row_lower", "row_upper", "lower", "upper")}
-    return LpProblem(**{**data, **changes})
+def _z12(normalization="probability", orders=(12,)):
+    """Z_12 (or another group of order 12) with the index sets Omega+ = {0, 6}
+    and Omega- = {0}: both lie in K = {0, 6}, and both are symmetric in Z_12
+    and in Z_2 x Z_6, where index 6 is (1, 0)."""
+    return make_group(list(orders), normalization), np.isin(np.arange(12), [0, 6]), \
+        np.arange(12) == 0
+
+
+def _answer_bytes(answer):
+    value, f_values, spectrum, status = answer
+    return np.float64(value).tobytes(), f_values.tobytes(), spectrum.tobytes(), status
 
 
 def test_repeated_lp_is_answered_from_the_memo(monkeypatch):
-    p = _random_instance(np.random.default_rng(7))
+    g = make_group([9], "probability")
+    op, om = SymSet.from_elements(g, [0, 1, 8, 4, 5]), SymSet.from_elements(g, [0, 3, 6])
     _forget(monkeypatch)
-    runs = _highs_runs(monkeypatch)
-    first = solve(p)
-    again = solve(_copy(p))
-    assert first.status == "optimal" and first.iterations > 0
-    assert len(runs) == 1 and again.iterations == 0
+    calls = _lp_solves(monkeypatch)
+    first = two_set_constant(g, op, om)
+    h = make_group([9], "probability")  # equal data in new objects
+    again = two_set_constant(h, SymSet(h, op.mask.copy()), SymSet(h, om.mask.copy()))
+    assert first.status == again.status == "optimal" and len(calls) == 1
+    hom = extremal.verify_homomorphism_bound(g, [0, 3, 6], op, om)
+    assert len(calls) == 4  # C_G with counting measure, C_K and C_{G/K}
+    assert extremal.verify_homomorphism_bound(g, [0, 3, 6], op, om) == hom and len(calls) == 4
+
     _forget(monkeypatch)
-    fresh = solve(p)
-    assert len(runs) == 2 and fresh.iterations == first.iterations
-    for sol in (first, again):
-        assert sol.x.tobytes() == fresh.x.tobytes() and sol.dual.tobytes() == fresh.dual.tobytes()
-        assert (sol.objective_value, sol.dual_objective, sol.max_violation) == \
-            (fresh.objective_value, fresh.dual_objective, fresh.max_violation)
+    fresh = two_set_constant(g, op, om)
+    assert len(calls) == 5 and extremal.verify_homomorphism_bound(g, [0, 3, 6], op, om) == hom
+    assert len(calls) == 8
+    for res in (first, again):
+        assert np.float64(res.value).tobytes() == np.float64(fresh.value).tobytes()
+        assert res.optimizer.values.tobytes() == fresh.optimizer.values.tobytes()
+        assert res.spectrum.tobytes() == fresh.spectrum.tobytes()
 
 
 def test_changed_entry_is_a_miss(monkeypatch):
-    p = LpProblem([1, 2], [[1, 1], [1, -1]], [-np.inf, -1], [4, 1], upper=[3, 3])
+    g, plus, minus = _z12()
+    idx, in_k = np.arange(12), np.isin(np.arange(12), [0, 6])
+    annihilator = ~g.char_phases(idx, [6]).any(axis=1)
+    chars = g.add_index(idx[:, None], np.flatnonzero(annihilator)[None, :]).min(axis=1)
+    elems = np.where(in_k, idx, -1)  # Omega+- lie in K, so Omega+- meet the same classes
     _forget(monkeypatch)
-    runs = _highs_runs(monkeypatch)
-    solve(p)
+    calls = _lp_solves(monkeypatch)
+    base = extremal._solve(g, plus, minus)
+    variants = [  # each differs from the base, or from the one before it, in one part
+        (*_z12(orders=(2, 6)), None, None),
+        (*_z12("counting"), None, None),
+        (g, plus, minus, None, elems),
+        (g, plus, minus, chars, elems),  # C_K
+        (g, plus | np.isin(idx, [3, 9]), minus, None, None),
+        (g, plus, minus | (idx == 6), None, None),  # Omega- off 0
+    ]
+    answers = [extremal._solve(*v) for v in variants]
+    assert len(calls) == 1 + len(variants)
+    assert len(extremal._solved.entries) == 1 + len(variants)
+    assert all(a[3] == "optimal" for a in [base, *answers])
+    assert extremal._solve(g, plus, minus) is base and len(calls) == 1 + len(variants)
 
-    def nudged(name, index):
-        v = getattr(p, name).copy()
-        v[index] += 0.5
-        return _copy(p, **{name: v})
 
-    variants = [nudged("c", 1), nudged("a", (1, 0)), nudged("row_upper", 0),
-                nudged("row_lower", 1), nudged("lower", 0), nudged("upper", 1)]
-    for q in variants:
-        solve(q)
-    assert len(runs) == 7 and all(r is q for r, q in zip(runs, [p, *variants]))
-    assert len(lp._solved.entries) == 1 + len(variants)
+def test_omega_minus_with_and_without_zero_share_an_entry(monkeypatch):
+    g, plus, minus = _z12()
+    _forget(monkeypatch)
+    calls = _lp_solves(monkeypatch)
+    six = np.arange(12) == 6
+    with_zero = extremal._solve(g, plus, minus | six)
+    without_zero = extremal._solve(g, plus, six)
+    assert without_zero is with_zero and len(calls) == 1
+    assert len(extremal._solved.entries) == 1
+    _forget(monkeypatch)
+    assert _answer_bytes(extremal._solve(g, plus, six)) == _answer_bytes(with_zero)
+    assert len(calls) == 2
 
 
 def test_remembered_arrays_are_read_only(monkeypatch):
-    p = box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
+    g = make_group([8], "probability")
+    op, om = SymSet.from_elements(g, [0, 1, 7]), SymSet.from_elements(g, [0, 4])
     _forget(monkeypatch)
-    for sol in (solve(p), solve(p)):
-        assert not sol.x.flags.writeable and not sol.dual.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            sol.x[0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            sol.dual[0] = 5.0
-    assert solve(p).x.tolist() == pytest.approx([1.0, 1.0])
+    results = [two_set_constant(g, op, om), two_set_constant(g, op, om)]
+    (value, f_values, spectrum, _), = extremal._solved.entries.values()
+    for res in results:
+        assert res.optimizer.values is f_values and res.spectrum is spectrum
+        for array in (f_values, spectrum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+    _forget(monkeypatch)
+    assert two_set_constant(g, op, om).spectrum.tobytes() == spectrum.tobytes()
 
 
 def test_failed_and_nonoptimal_outcomes_are_not_remembered(monkeypatch):
+    g = make_group([8], "probability")
+    op, om = SymSet.from_elements(g, [0, 1, 7]), SymSet.from_elements(g, [0, 4])
     _forget(monkeypatch)
-    runs = _highs_runs(monkeypatch)
-    infeasible = box([1], [[1]], [-1], ["<="])
-    unbounded = box([1], np.zeros((0, 1)), np.zeros(0), [])
-    failing = box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="])
+    calls = []
+
+    def failing(p):
+        calls.append(p)
+        if len(calls) % 2:
+            raise SolverFailure("optimality certificate failed: residual 1.000e-03")
+        return LpSolution("infeasible", None, np.nan, None)
+
+    monkeypatch.setattr(extremal, "solve", failing)
     for _ in range(2):
-        assert solve(infeasible).status == "infeasible"
-        assert solve(unbounded).status == "unbounded"
-        with pytest.raises(SolverFailure, match="residual"):
-            solve(failing)
-    assert len(runs) == 6
-    assert not lp._solved.entries and lp._solved.nbytes == 0
+        for match in ("residual", "status infeasible"):
+            with pytest.raises(SolverFailure, match=match):
+                two_set_constant(g, op, om)
+    assert len(calls) == 4
+    assert not extremal._solved.entries and extremal._solved.nbytes == 0
+    monkeypatch.setattr(extremal, "solve", solve)
+    assert two_set_constant(g, op, om).status == "optimal"
+    assert len(extremal._solved.entries) == 1
 
 
-def test_remembered_answer_that_fails_its_check_is_solved_again(monkeypatch):
-    p = box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
-    _forget(monkeypatch)
-    runs = _highs_runs(monkeypatch)
-    lp._solved.put(lp._key(p), np.array([2.0, 2.0]), np.array([1.0, 1.0]))  # infeasible x
-    sol = solve(p)
-    assert len(runs) == 1
-    assert sol.x.tolist() == pytest.approx([1.0, 1.0])
-    (x, y), = lp._solved.entries.values()
-    assert x is sol.x and y is sol.dual
-    assert lp._solved.nbytes == x.nbytes + y.nbytes + lp._ENTRY_BYTES
-    assert solve(p).x is sol.x and len(runs) == 1
+def _entry_bytes(n):
+    """What the memo charges for an answer on Z_n with the identity labels."""
+    return 2 * 8 * n + 2 * n + extremal._ENTRY_BYTES  # f_values, spectrum, Omega+-
+
+
+def _z12_sets():
+    """Omega+ for each nonempty set of the classes {1, 11}, ..., {5, 7}, {6} of Z_12."""
+    g = make_group([12], "probability")
+    pairs = [[1, 11], [2, 10], [3, 9], [4, 8], [5, 7], [6]]
+    return g, [SymSet.from_elements(g, [0] + [x for j, p in enumerate(pairs) if k >> j & 1
+                                             for x in p]) for k in range(1, 64)]
 
 
 def test_memo_keeps_within_its_budget_and_drops_the_oldest(monkeypatch):
-    assert lp._solved.budget == lp._MEMO_BYTES <= 16 * 2**20
-    entry = 2 * 8 + 2 * 8 + lp._ENTRY_BYTES  # two variables, two rows
-    memo = lp._Memo(budget=10 * entry + entry // 2)
-    monkeypatch.setattr(lp, "_solved", memo)
-    problems = [box([1, 1], [[1, 0], [0, 1]], [k, 1], ["<=", "<="]) for k in range(1, 31)]
-    for p in problems:
-        solve(p)
+    assert extremal._solved.budget == extremal._MEMO_BYTES <= 16 * 2**20
+    entry = _entry_bytes(12)
+    memo = extremal._Memo(budget=10 * entry + entry // 2)
+    monkeypatch.setattr(extremal, "_solved", memo)
+    g, sets = _z12_sets()
+    full = SymSet.full(g)
+    results = []
+    for op in sets[:30]:
+        results.append(two_set_constant(g, op, full))
         assert memo.nbytes <= memo.budget
-    assert list(memo.entries) == [lp._key(p) for p in problems[-10:]]
+    assert len(memo.entries) == 10
+    assert all(a[2] is r.spectrum for a, r in zip(memo.entries.values(), results[-10:]))
     assert memo.nbytes == 10 * entry
 
-    runs = _highs_runs(monkeypatch)
-    assert solve(problems[-1]).iterations == 0 and not runs  # kept
-    solve(problems[0])  # dropped, so solved again
-    assert len(runs) == 1 and runs[0] is problems[0] and len(memo.entries) == 10
-    assert lp._key(problems[1]) not in memo.entries  # the oldest made room for it
+    calls = _lp_solves(monkeypatch)
+    assert two_set_constant(g, sets[29], full).spectrum is results[-1].spectrum
+    assert not calls  # kept
+    two_set_constant(g, sets[0], full)  # dropped, so solved again
+    assert len(calls) == 1 and len(memo.entries) == 10
+    assert all(a[2] is not results[20].spectrum for a in memo.entries.values())  # the oldest
+    assert memo.nbytes == 10 * entry
 
 
 def test_answer_larger_than_the_budget_is_not_remembered(monkeypatch):
-    memo = lp._Memo(budget=lp._ENTRY_BYTES)
-    monkeypatch.setattr(lp, "_solved", memo)
-    assert solve(box([1], [[1]], [1], ["<="])).status == "optimal"
-    assert not memo.entries and memo.nbytes == 0
+    memo = extremal._Memo(budget=_entry_bytes(12) + 100)
+    monkeypatch.setattr(extremal, "_solved", memo)
+    g, sets = _z12_sets()
+    kept = two_set_constant(g, sets[0], SymSet.full(g))
+    h = make_group([24], "probability")  # an answer of _entry_bytes(24) > budget bytes
+    assert two_set_constant(h, SymSet.from_elements(h, [0, 1, 23]), SymSet.full(h)).status == \
+        "optimal"
+    (answer,) = memo.entries.values()
+    assert answer[2] is kept.spectrum and memo.nbytes == _entry_bytes(12)  # nothing dropped
 
 
 def test_memo_budget_bounds_its_memory():
     import tracemalloc
 
-    memo = lp._Memo(budget=2**16)
+    memo = extremal._Memo(budget=2**16)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for k in range(5000):  # the smallest answers, where the Python objects dominate
-            memo.put(((1, 1), k.to_bytes(16, "little")), np.full(1, float(k)), np.zeros(1))
+        for k in range(5000):  # the smallest answers, on Z_1, as _solve makes them
+            orders, weight = tuple([1]), 1.0 + k / 5000  # a new group's own objects
+            inside = np.ones(1, dtype=bool)
+            f_values, spectrum = np.ones(1), np.ones(1)
+            f_values.flags.writeable = spectrum.flags.writeable = False
+            memo.put((orders, weight, None, None, inside.tobytes(), inside.tobytes()),
+                     (float(k) / 7, f_values, spectrum, "optimal"))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
