@@ -45,9 +45,8 @@ from .density import (
 )
 # radial (which imports scipy.special) and trinomial load on first use
 _LAZY = {
-    **dict.fromkeys(["ball_char_transform", "bessel_first_zero", "bessel_j", "gorbachev_H",
-                     "hankel_transform", "sphere_transform", "yudin_Y", "yudin_sign_check"],
-                    "radial"),
+    **dict.fromkeys(["ball_char_transform", "bessel_first_zero", "bessel_j",
+                     "sphere_transform", "yudin_Y", "yudin_sign_check"], "radial"),
     **dict.fromkeys(["Trinomial", "critical_coeffs", "example51_comparison",
                      "example51_lower_bound", "is_nonneg", "optimize_trinomial"], "trinomial"),
 }
@@ -74,8 +73,7 @@ __all__ = [
     "auud_finite", "auud_periodic", "max_density_search", "density_bounds_check",
     "integer_shadow",
     "QuadratureError", "bessel_j", "bessel_first_zero", "yudin_Y",
-    "yudin_sign_check", "hankel_transform", "ball_char_transform",
-    "sphere_transform", "gorbachev_H",
+    "yudin_sign_check", "ball_char_transform", "sphere_transform",
     "Trinomial", "critical_coeffs", "is_nonneg", "optimize_trinomial",
     "example51_lower_bound", "example51_comparison",
 ]

@@ -218,16 +218,16 @@ def _cmd_radial(args) -> int:
     elif args.table == "hankel":
         ss = _grid(0.0, args.s_max, args.step, "--s-max")
         _emit_table("radial hankel", ["s", "yhat"], ss,
-                    yudin_hat_grid(args.d, ss, args.quad_t_max), args.csv)
+                    yudin_hat_grid(args.d, ss), args.csv)
     elif args.table == "gorbachev-h":
         q = bessel_first_zero(args.d / 2.0)
         if not args.t_max >= q:
             raise UsageError(f"--t-max must be at least the first zero q_{{d/2}} = {q!r}, "
                              f"where the H table starts; got {args.t_max}")
         ts = _grid(q, args.t_max, args.step, "--t-max")
-        vals, info = gorbachev_H_grid(args.d, ts, args.quad_t_max)
+        vals, info = gorbachev_H_grid(args.d, ts)
         _emit_table("radial gorbachev-h", ["t", "H"], ts, vals, args.csv,
-                    lambda: gorbachev_H_report(args.d, ts, args.quad_t_max, grid=(vals, info)))
+                    lambda: gorbachev_H_report(args.d, ts, grid=(vals, info)))
     else:
         xs = _grid(0.0, args.t_max, args.step, "--t-max")
         _emit_table("radial ball-transform", ["x", "ball_hat"], xs,
@@ -331,17 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radial", allow_abbrev=False, help="emit radial function tables")
     p.set_defaults(func=_cmd_radial)
     tables = p.add_subparsers(dest="table", required=True)
-    # each table's grid-end flag, and whether it integrates out to --quad-t-max
-    for table, (end, default, quad) in {"yudin": ("--t-max", 30.0, False),
-                                        "hankel": ("--s-max", 3.0, True),
-                                        "gorbachev-h": ("--t-max", 30.0, True),
-                                        "ball-transform": ("--t-max", 30.0, False)}.items():
+    # each table's grid-end flag and default; no flag sets the quadrature (radial.py)
+    for table, (end, default) in {"yudin": ("--t-max", 30.0),
+                                  "hankel": ("--s-max", 3.0),
+                                  "gorbachev-h": ("--t-max", 30.0),
+                                  "ball-transform": ("--t-max", 30.0)}.items():
         t = tables.add_parser(table, allow_abbrev=False)
         t.add_argument("--d", type=int, default=1)
         t.add_argument(end, type=float, default=default)
         t.add_argument("--step", type=float, default=0.05)
-        if quad:
-            t.add_argument("--quad-t-max", type=float, default=60.0)
         t.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("trinomial", allow_abbrev=False,

@@ -55,18 +55,36 @@ class QuadratureError(RuntimeError):
     """Successive quadrature refinements failed to agree within tolerance."""
 
 
+# HiGHS reads a bound or cost of 1e20 or more in magnitude as infinite
+# (infinite_bound, infinite_cost) and refuses a matrix entry of 1e15 or more
+# (large_matrix_value); LpProblem refuses all of them
+_HIGHS_INF, _MAX_ENTRY = 1e20, 1e15
+
+
 def _bounds(lo, hi, size: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """lo and hi as float arrays of shape (size,), checked to be a bound pair."""
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     if lo.shape != (size,) or hi.shape != (size,):
         raise ValueError(f"{what} bounds have shapes {lo.shape} and {hi.shape}, "
                          f"expected ({size},)")
-    bad = np.flatnonzero(~(lo <= hi) | (lo == np.inf) | (hi == -np.inf))  # NaN fails lo <= hi
-    if bad.size:
-        i = bad[0]
+    # NaN fails every comparison; lower may be -inf and upper inf, nothing else huge
+    ok = ((lo <= hi) & ((np.abs(lo) < _HIGHS_INF) | (lo == -np.inf))
+          & ((np.abs(hi) < _HIGHS_INF) | (hi == np.inf)))
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
         raise ValueError(f"{what} {i} has bounds [{lo[i]}, {hi[i]}]: need lower <= upper, "
-                         "no NaN, lower < inf and upper > -inf")
+                         "no NaN, lower < inf, upper > -inf, and each finite bound below "
+                         f"{_HIGHS_INF:g} in magnitude")
     return lo, hi
+
+
+def _below(values: np.ndarray, limit: float, name: str) -> None:
+    """Raise ValueError naming the first entry of values not below limit in magnitude."""
+    ok = np.abs(values) < limit  # NaN and inf fail too
+    if not ok.all():
+        i = tuple(int(k) for k in np.argwhere(~ok)[0])
+        raise ValueError(f"{name}{list(i)} = {values[i]}: must be finite and below {limit:g} "
+                         "in magnitude")
 
 
 @dataclass
@@ -87,8 +105,8 @@ class LpProblem:
         self.lower, self.upper = _bounds(
             np.zeros(n) if self.lower is None else self.lower,
             np.full(n, np.inf) if self.upper is None else self.upper, n, "variable")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.c))):
-            raise ValueError("matrix and objective entries must be finite")
+        _below(self.a, _MAX_ENTRY, "a")
+        _below(self.c, _HIGHS_INF, "c")
 
     @property
     def nvars(self) -> int:

@@ -29,14 +29,13 @@ _zeros = extension("scipy.optimize._zeros")
 
 TWO_PI = 2.0 * math.pi
 
-# Fixed quadrature settings.  The truncation radius t_max is the one value a
-# caller chooses (the CLI's --quad-t-max).
+# Fixed quadrature settings; no caller chooses any of them.
 GL_ORDER = 16         # Gauss-Legendre nodes per panel; the refinement check adds 8
 PANEL_WIDTH = 0.5
 QUAD_TOL = 1e-9
 MODEL_RANGE = 600.0   # numeric range for analytic tail-model terms
 TAIL_START = 30.0     # radius from which the large-argument tail models hold
-T_MAX = 60.0
+T_MAX = 60.0          # truncation radius, in [TAIL_START, MODEL_RANGE]
 
 
 # --------------------------------------------------------------------------
@@ -162,18 +161,6 @@ def _panel_nodes(edges: np.ndarray, order: int):
 def _linear_edges(a: float, b: float, width: float) -> np.ndarray:
     n = max(1, int(math.ceil((b - a) / width)))
     return np.linspace(a, b, n + 1)
-
-
-def _truncation_edges(t_max: float) -> np.ndarray:
-    """Panel edges of [0, t_max], after checking t_max.
-
-    Below TAIL_START the tail models do not hold yet, and beyond MODEL_RANGE
-    the tail-model terms are no longer integrated numerically.
-    """
-    if not TAIL_START <= t_max <= MODEL_RANGE:
-        raise ValueError(f"truncation radius t_max (--quad-t-max) must be finite positive, "
-                         f"from {TAIL_START} to {MODEL_RANGE}; got {t_max}")
-    return _linear_edges(0.0, t_max, PANEL_WIDTH)
 
 
 def _geometric_edges(a: float, b: float, width: float) -> np.ndarray:
@@ -445,18 +432,19 @@ def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray) -> np.ndarr
     return totals
 
 
-def hankel_grid(profile: Callable, alpha: float, s_values, t_max: float = T_MAX,
+def hankel_grid(profile: Callable, alpha: float, s_values,
                 tail: Optional[TailModel] = None) -> tuple[np.ndarray, dict]:
-    """(H_alpha profile)(s) on a grid of s values, with an info dict.
+    """(H_alpha F)(s) = (1 / (2^alpha Gamma(alpha+1))) * integral_0^inf F(u) j_alpha(su) u^(2 alpha + 1) du
+    for profile F on a grid of s values, with an info dict.
 
-    The numeric part integrates profile minus the tail model on [0, t_max]
-    (two GL orders; their disagreement is the error estimate); the model's own
+    The numeric part integrates F minus the tail model on [0, T_MAX] (two GL
+    orders; their disagreement is the error estimate); the model's own
     transform beyond its start radius is added analytically.
     """
     if alpha < -0.5:
         raise ValueError(f"order alpha = {alpha} below -1/2")
     s_values = np.atleast_1d(np.asarray(s_values, dtype=np.float64))
-    edges = _truncation_edges(t_max)
+    edges = _linear_edges(0.0, T_MAX, PANEL_WIDTH)
     results = np.zeros_like(s_values)
     errors = np.zeros_like(s_values)
     norm = _hankel_norm(alpha)
@@ -490,32 +478,20 @@ def hankel_grid(profile: Callable, alpha: float, s_values, t_max: float = T_MAX,
             )
 
     info = {"max_refinement_diff": float(np.max(errors, initial=0.0)),
-            "truncated_at": t_max,
             "tail_model": tail is not None}
     if tail is None:
         # report a crude power-law truncation estimate from the integrand edge
-        probe = abs(float(np.asarray(profile(np.asarray([t_max])), dtype=np.float64)[0]))
-        info["truncation_estimate"] = probe * t_max ** (2.0 * alpha + 1.0) * t_max
+        probe = abs(float(np.asarray(profile(np.asarray([T_MAX])), dtype=np.float64)[0]))
+        info["truncation_estimate"] = probe * T_MAX ** (2.0 * alpha + 1.0) * T_MAX
     return results, info
 
 
-def hankel_transform(profile: Callable, alpha: float, s: float, t_max: float = T_MAX,
-                     tail: Optional[TailModel] = None) -> float:
-    """Fourier-Bessel transform
-    (H_alpha F)(s) = (1 / (2^alpha Gamma(alpha+1))) * integral_0^inf F(u) j_alpha(su) u^(2 alpha + 1) du,
-    truncated at t_max with an optional analytic tail model.  ``hankel_grid``
-    also returns the refinement/truncation estimates.
-    """
-    values, _ = hankel_grid(profile, alpha, [s], t_max, tail)
-    return float(values[0])
-
-
-def yudin_hat_grid(d: int, s_values, t_max: float = T_MAX) -> np.ndarray:
+def yudin_hat_grid(d: int, s_values) -> np.ndarray:
     """Spectrum of the Yudin bump: (H_{d/2-1} Y_d)(s), tail-corrected."""
     if d < 1:
         raise ValueError("dimension must be a positive integer")
     values, _ = hankel_grid(lambda u: np.atleast_1d(yudin_Y(d, u)), d / 2.0 - 1.0,
-                            s_values, t_max, tail=yudin_tail_model(d))
+                            s_values, tail=yudin_tail_model(d))
     return values
 
 
@@ -543,19 +519,19 @@ def sphere_transform(d: int, s) -> np.ndarray | float:
 # the Gorbachev tail function H
 # --------------------------------------------------------------------------
 
-def gorbachev_H_grid(d: int, ts, t_max: float = T_MAX) -> tuple[np.ndarray, dict]:
-    """H(t) = integral_t^inf s Y_{d+2}(s) ds on a grid, truncated at t_max with
+def gorbachev_H_grid(d: int, ts) -> tuple[np.ndarray, dict]:
+    """H(t) = integral_t^inf s Y_{d+2}(s) ds on a grid: panels up to T_MAX and
     the analytic tail model beyond; the model residual scale is reported."""
     if d < 1:
         raise ValueError("dimension must be a positive integer")
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     if not np.all(ts >= 0):
         raise ValueError("arguments must be nonnegative")
-    edges = _truncation_edges(t_max)
-    model = gorbachev_tail_model(d, start=t_max)
-    tail_at_tmax = float(model.eval(np.asarray([t_max]))[0])
-    beyond = ts > t_max
-    # the edges end at t_max exactly, so the knots do too
+    edges = _linear_edges(0.0, T_MAX, PANEL_WIDTH)
+    model = gorbachev_tail_model(d, start=T_MAX)
+    tail_at_tmax = float(model.eval(np.asarray([T_MAX]))[0])
+    beyond = ts > T_MAX
+    # the edges end at T_MAX exactly, so the knots do too
     knots = np.unique(np.concatenate([ts[~beyond], edges]))
 
     def integrand(u):
@@ -578,27 +554,22 @@ def gorbachev_H_grid(d: int, ts, t_max: float = T_MAX) -> tuple[np.ndarray, dict
 
     nu = d / 2.0
     a, _, _ = _asym_constants(nu)
-    est = (a * bessel_first_zero(nu)) ** 2 * t_max ** (-(d + 4.0))
+    est = (a * bessel_first_zero(nu)) ** 2 * T_MAX ** (-(d + 4.0))
     return out, {"tail_at_tmax": tail_at_tmax, "model_residual_scale": est,
                  "refinement_diff": err}
 
 
-def gorbachev_H(d: int, t: float, t_max: float = T_MAX) -> float:
-    values, _ = gorbachev_H_grid(d, [t], t_max)
-    return float(values[0])
-
-
-def gorbachev_H_report(d: int, ts=None, t_max: float = T_MAX, grid=None) -> dict:
+def gorbachev_H_report(d: int, ts=None, grid=None) -> dict:
     """Sign/monotonicity of H beyond q_{d/2} and boundedness of H(t) t^(d+1).
 
-    ``grid`` is the (values, info) pair of ``gorbachev_H_grid(d, ts, t_max)``
-    when the caller has computed it already.
+    ``grid`` is the (values, info) pair of ``gorbachev_H_grid(d, ts)`` when
+    the caller has computed it already.
     """
     q = bessel_first_zero(d / 2.0)
     if ts is None:
         ts = np.linspace(q, 50.0, 400)
     ts = np.asarray(ts, dtype=np.float64)
-    values, info = gorbachev_H_grid(d, ts, t_max) if grid is None else grid
+    values, info = gorbachev_H_grid(d, ts) if grid is None else grid
     negative = bool(np.max(values) < 0.0)
     nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
     window = (ts >= 20.0) & (ts <= 50.0)

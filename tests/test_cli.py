@@ -257,7 +257,9 @@ _FOREIGN_FLAGS = [
     (["radial", "yudin"], ["--s-max", "3"]),
     (["radial", "yudin"], ["--quad-t-max", "60"]),
     (["radial", "hankel"], ["--t-max", "30"]),
+    (["radial", "hankel"], ["--quad-t-max", "60"]),
     (["radial", "gorbachev-h"], ["--s-max", "3"]),
+    (["radial", "gorbachev-h"], ["--quad-t-max", "60"]),
     (["radial", "ball-transform"], ["--s-max", "3"]),
     (["radial", "ball-transform"], ["--quad-t-max", "60"]),
     (["density", "search"], ["--period", "5"]),
@@ -294,8 +296,8 @@ def test_foreign_flag_is_rejected(capsys, action, flag):
 # the flags each action word accepts, besides --help
 _LEAF_FLAGS = {
     ("radial", "yudin"): {"--d", "--t-max", "--step", "--csv"},
-    ("radial", "hankel"): {"--d", "--s-max", "--step", "--quad-t-max", "--csv"},
-    ("radial", "gorbachev-h"): {"--d", "--t-max", "--step", "--quad-t-max", "--csv"},
+    ("radial", "hankel"): {"--d", "--s-max", "--step", "--csv"},
+    ("radial", "gorbachev-h"): {"--d", "--t-max", "--step", "--csv"},
     ("radial", "ball-transform"): {"--d", "--t-max", "--step", "--csv"},
     ("trinomial", "optimize"): set(),
     ("trinomial", "example51"): {"--csv"},
@@ -417,8 +419,8 @@ def test_radial_rejects_nonpositive_step(capsys, table, step):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["radial", "hankel", "--quad-t-max", "inf"], "finite positive"),
-    (["radial", "hankel", "--quad-t-max", "nan"], "finite positive"),
+    (["radial", "yudin", "--t-max", "nan"], "--t-max must be finite and at least 0.0, got nan"),
+    (["radial", "ball-transform", "--t-max", "nan"], "--t-max must be finite and at least 0.0, got nan"),
     (["radial", "gorbachev-h", "--d", "-1"], "dimension must be a positive integer"),
     (["radial", "gorbachev-h", "--d", "0"], "dimension must be a positive integer"),
     (["radial", "hankel", "--d", "0"], "dimension must be a positive integer"),
@@ -433,9 +435,9 @@ def test_radial_rejects_nonpositive_step(capsys, table, step):
     (["radial", "hankel", "--s-max", "nan"], "--s-max must be finite"),
     (["radial", "yudin", "--t-max", "1e300"], "--t-max = 1e+300 with --step = 0.05 gives more"),
     (["radial", "hankel", "--step", "1e-300"], "--s-max = 3.0 with --step = 1e-300 gives more"),
-    (["radial", "hankel", "--d", "1", "--quad-t-max", "20"], "(--quad-t-max) must be finite"),
-    (["radial", "gorbachev-h", "--d", "3", "--quad-t-max", "1e-100"], "(--quad-t-max)"),
-    (["radial", "hankel", "--quad-t-max", "1e300"], "from 30.0 to 600.0; got 1e+300"),
+    (["radial", "gorbachev-h", "--d", "2", "--t-max", "nan"], "first zero q_{d/2} = 3.8317"),
+    (["radial", "gorbachev-h", "--step", "1e-300"], "--t-max = 30.0 with --step = 1e-300 gives more"),
+    (["radial", "ball-transform", "--d", "65"], "--d: dimension must be at most 64"),
     (["radial", "hankel", "--d", "65"], "--d: dimension must be at most 64"),
     (["radial", "yudin", "--d", "100"], "--d: dimension must be at most 64"),
 ])

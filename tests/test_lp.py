@@ -81,9 +81,12 @@ def test_no_columns():
 
 
 def test_model_highs_rejects_is_a_solver_failure():
-    # HiGHS refuses matrix entries of 1e15 and more, which LpProblem accepts
+    # HiGHS refuses matrix entries of 1e15 and more; LpProblem refuses them
+    # too, so this one is put in after the problem is built
+    p = box([1], [[1]], [1], ["<="])
+    p.a[0, 0] = 1e300
     with pytest.raises(SolverFailure, match="HiGHS ended with status Not Set"):
-        solve(box([1], [[1e300]], [1], ["<="]))
+        solve(p)
     assert solve(box([1], [[1]], [1], ["<="])).objective_value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -348,6 +351,40 @@ INF = np.inf
 def test_bounds_are_validated(rows, columns):
     with pytest.raises(ValueError, match="bounds"):
         LpProblem([1], [[1]], *rows, *columns)
+
+
+@pytest.mark.parametrize("rows, columns", [
+    (([-INF], [1e25]), ([0], [INF])),  # HiGHS would answer this bounded LP "unbounded"
+    (([-1e20], [1]), ([0], [INF])),
+    (([-INF], [1]), ([0], [1e21])),
+    (([-INF], [1]), ([-1e20], [INF])),
+])
+def test_bound_highs_reads_as_infinite_is_rejected(rows, columns):
+    # HiGHS's infinite_bound: a bound of 1e20 or more in magnitude is no bound
+    with pytest.raises(ValueError, match=r"0 has bounds .* finite bound below 1e\+20"):
+        LpProblem([1], [[1]], *rows, *columns)
+
+
+@pytest.mark.parametrize("entry", [1e15, -1e15, 1e300, INF, np.nan])
+def test_matrix_entry_highs_refuses_is_rejected(entry):
+    # HiGHS's large_matrix_value: passModel refuses the model
+    with pytest.raises(ValueError, match=r"a\[1, 0\] = .*below 1e\+15"):
+        LpProblem([1, 1], [[1, 1], [entry, 1]], [-INF, -INF], [1, 1])
+
+
+@pytest.mark.parametrize("cost", [1e20, -1e300, INF, np.nan])
+def test_cost_highs_reads_as_infinite_is_rejected(cost):
+    # HiGHS's infinite_cost: its run would end with status Unknown
+    with pytest.raises(ValueError, match=r"c\[0\] = .*below 1e\+20"):
+        LpProblem([cost], [[1]], [-INF], [1])
+
+
+def test_bound_below_the_limit_keeps_its_finite_optimum():
+    sol = solve(LpProblem([1], [[1]], [-INF], [1e19]))
+    assert sol.status == "optimal" and sol.objective_value == 1e19
+    sol = solve(LpProblem([1], np.zeros((0, 1)), [], [], [0], [1e19]))
+    assert sol.status == "optimal" and sol.objective_value == 1e19
+    assert LpProblem([1e19], [[1e14]], [-INF], [1]).c[0] == 1e19
 
 
 def test_nan_primal_fails_the_residual():
