@@ -67,7 +67,9 @@ def test_unbounded_ray():
 
 
 def test_statuses_exact_where_presolve_is_ambiguous():
-    # HiGHS's presolve alone reports both as "unbounded or infeasible"
+    # with allow_unbounded_or_infeasible on, HiGHS reports both as "unbounded
+    # or infeasible", with presolve on or off: the dual simplex itself cannot
+    # tell them apart
     assert solve(box([1], [[1]], [2], [">="])).status == "unbounded"
     p = box([1], [[2], [0]], [-2, -1], [">=", "="], lower=[-np.inf], upper=[np.inf])
     assert solve(p).status == "infeasible"
@@ -317,8 +319,7 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
     for p in problems:
         history.append(_outcome(p))
         assert lp._solver() is shared
-        for name in lp._TOLERANCES:
-            assert shared.getOptionValue(name)[1] == 1e-7
+        _assert_options_as_set(shared)
     assert history[0][0] == "optimal" and history[3][0] == "SolverFailure"
     assert history[0][1] > 0
     assert [o[0] for o in history[1:3]] == ["infeasible", "unbounded"]
@@ -328,7 +329,15 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
         monkeypatch.setattr(lp, "_highs", None)  # the next solve makes a new object
         fresh.append(_outcome(p))
         assert lp._solver() is not shared
+        _assert_options_as_set(lp._solver())
     assert history == fresh
+
+
+def _assert_options_as_set(h):
+    """Every option of _HIGHS_OPTIONS reads back from h as it was set, type included."""
+    for name, value in lp._HIGHS_OPTIONS.items():
+        got = h.getOptionValue(name)[1]
+        assert (type(got), got) == (type(value), value), name
 
 
 INF = np.inf
