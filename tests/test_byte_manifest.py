@@ -67,6 +67,9 @@ ARGVS = [
       for table, end in (("yudin", "--t-max"), ("hankel", "--s-max"),
                          ("gorbachev-h", "--t-max"), ("ball-transform", "--t-max"))
       for csv in ([], ["--csv"])],
+    *[["radial", table, "--d", "1", end, "8", "--step", "1"]
+      for table, end in (("hankel", "--s-max"), ("yudin", "--t-max"),
+                         ("gorbachev-h", "--t-max"), ("ball-transform", "--t-max"))],
     ["trinomial", "optimize"],
     ["trinomial", "example51"],
     ["trinomial", "example51", "--csv"],

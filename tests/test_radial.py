@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,6 +106,62 @@ def test_order_domain_errors():
         bessel_j(-0.6, 1.0)
     with pytest.raises(ValueError):
         bessel_first_zero(-0.75)
+
+
+def test_nonfinite_arguments_rejected():
+    for alpha in (-0.5, 0.0, 0.5):
+        for bad in (math.nan, math.inf, -math.inf, [1.0, math.nan], [math.inf, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="argument must be finite and nonnegative"):
+                    bessel_j(alpha, bad)
+
+
+# every argument the tables use (s * u <= 3 * 600)
+ORACLE_POINTS = np.concatenate([np.geomspace(1e-6, 2000.0, 200), np.linspace(0.5, 2000.0, 200)])
+
+
+def j_mpmath(alpha: float, t: float) -> float:
+    """Gamma(alpha+1) (2/t)^alpha J_alpha(t) at 40 digits (test oracle)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        return float(mpmath.gamma(alpha + 1) * (2 / t) ** alpha * mpmath.besselj(alpha, t))
+
+
+@pytest.mark.parametrize("alpha, bound", [
+    (-0.5, 2.5e-16),  # closed forms: about one ulp of 1
+    (0.5, 2.5e-16),
+    (0.0, 2.5e-16),   # jv, at the level it reaches with scipy 1.17.1
+    (1.5, 5e-15),
+])
+def test_bessel_j_against_mpmath(alpha, bound):
+    want = np.array([j_mpmath(alpha, t) for t in ORACLE_POINTS])
+    assert np.max(np.abs(bessel_j(alpha, ORACLE_POINTS) - want)) <= bound
+    if alpha in (-0.5, 0.5):  # jv's j_{1/2}(1e17) is -8.9e-18, not -4.6e-18
+        far = j_mpmath(alpha, 1e17)
+        assert abs(bessel_j(alpha, 1e17) - far) <= 1e-15 * abs(far)
+
+
+def test_closed_form_orders_never_reach_jv(monkeypatch):
+    # orders -1/2 and 1/2 are cos t and sin t / t; other orders still take jv,
+    # such as j_{3/2}(q) in the d = 3 bump's patch at its zero q
+    import pdextremal.radial as radial
+
+    scipy_jv = radial.jv
+
+    def jv(alpha, t):
+        assert alpha not in (-0.5, 0.5), f"jv called at order {alpha}"
+        return scipy_jv(alpha, t)
+
+    monkeypatch.setattr(radial, "jv", jv)
+    grid = np.linspace(0.0, 3.0, 7)
+    for d in (1, 3):
+        assert np.all(np.isfinite(yudin_hat_grid(d, grid)))
+    assert np.all(np.isfinite(yudin_Y(3, grid)))
+    values, _ = gorbachev_H_grid(1, np.linspace(4.0, 8.0, 5))
+    assert np.all(np.isfinite(values))
+    assert np.all(np.isfinite(ball_char_transform(1, grid)))
 
 
 def test_derivative_identity_finite_differences():
