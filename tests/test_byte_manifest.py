@@ -10,7 +10,9 @@ A change that moves bytes on purpose regenerates the manifest with
 
     PYTHONPATH=src python3 tests/test_byte_manifest.py
 
-from the root of a checkout, and lists every argv that moved in CHANGES.md.
+from the root of a checkout.  It prints every argv whose ``[sha256, exit]``
+differs from the manifest it replaces (new argv included); list those in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ ARGVS = [
       for table, end in (("yudin", "--t-max"), ("hankel", "--s-max"),
                          ("gorbachev-h", "--t-max"), ("ball-transform", "--t-max"))
       for csv in ([], ["--csv"])],
-    *[["radial", table, "--d", "1", end, "8", "--step", "1"]
+    *[["radial", table, "--d", d, end, "8", "--step", "1"]
+      for d in ("1", "2")
       for table, end in (("hankel", "--s-max"), ("yudin", "--t-max"),
                          ("gorbachev-h", "--t-max"), ("ball-transform", "--t-max"))],
     ["trinomial", "optimize"],
@@ -118,6 +121,9 @@ def test_in_process_bytes_are_the_command_line_bytes():
 
 
 if __name__ == "__main__":
-    MANIFEST.write_text(json.dumps(
-        {"versions": versions(), "outputs": {shlex.join(a): outcome(a) for a in ARGVS}},
-        indent=1) + "\n")
+    before = json.loads(MANIFEST.read_text())["outputs"] if MANIFEST.exists() else {}
+    outputs = {shlex.join(a): outcome(a) for a in ARGVS}
+    for key, value in outputs.items():
+        if before.get(key) != value:
+            print(f"{key}: {before.get(key)} -> {value}")
+    MANIFEST.write_text(json.dumps({"versions": versions(), "outputs": outputs}, indent=1) + "\n")

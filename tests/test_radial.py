@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import jv
 
+import pdextremal.radial as radial
 from pdextremal.radial import (
     bessel_first_zero,
     bessel_j,
@@ -77,8 +79,6 @@ def test_first_zero_is_scipy_brentq_bit_for_bit(monkeypatch):
     # bessel_first_zero calls brentq's compiled entry point; it must return
     # the bits of scipy.optimize.brentq(..., xtol=1e-13) on the same bracket
     # for every dimension the CLI accepts
-    import pdextremal.radial as radial
-
     zeros = radial._zeros
     brackets = []
 
@@ -108,6 +108,15 @@ def test_order_domain_errors():
         bessel_first_zero(-0.75)
 
 
+def test_nonfinite_orders_rejected():
+    # NaN went through jv without a word, and at inf the first-zero scan had no end
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="is not finite"):
+            bessel_j(alpha, 1.0)
+        with pytest.raises(ValueError, match="is not finite"):
+            bessel_first_zero(alpha)
+
+
 def test_nonfinite_arguments_rejected():
     for alpha in (-0.5, 0.0, 0.5):
         for bad in (math.nan, math.inf, -math.inf, [1.0, math.nan], [math.inf, 0.0]):
@@ -117,7 +126,8 @@ def test_nonfinite_arguments_rejected():
                     bessel_j(alpha, bad)
 
 
-# every argument the tables use (s * u <= 3 * 600)
+# every argument the tables use (s * u <= 3 * 600), on both sides of X0(alpha)
+# for every order below
 ORACLE_POINTS = np.concatenate([np.geomspace(1e-6, 2000.0, 200), np.linspace(0.5, 2000.0, 200)])
 
 
@@ -129,25 +139,70 @@ def j_mpmath(alpha: float, t: float) -> float:
         return float(mpmath.gamma(alpha + 1) * (2 / t) ** alpha * mpmath.besselj(alpha, t))
 
 
+def j_scipy_jv(alpha: float, t):
+    """Gamma(alpha+1) (2/t)^alpha jv(alpha, t), the jv formula of bessel_j."""
+    return math.gamma(alpha + 1) * (2 / t) ** alpha * jv(alpha, t)
+
+
 @pytest.mark.parametrize("alpha, bound", [
     (-0.5, 2.5e-16),  # closed forms: about one ulp of 1
     (0.5, 2.5e-16),
-    (0.0, 2.5e-16),   # jv, at the level it reaches with scipy 1.17.1
+    (0.0, 2.5e-16),   # jv below X0, at the level it reaches with scipy 1.17.1
     (1.5, 5e-15),
+    # jv below X0 and Hankel's expansion from X0 on: bounded by jv's own error
+    (1.0, None),
+    (2.5, None),
+    (5.0, None),
+    (9.0, None),
+    (31.0, None),
 ])
 def test_bessel_j_against_mpmath(alpha, bound):
     want = np.array([j_mpmath(alpha, t) for t in ORACLE_POINTS])
-    assert np.max(np.abs(bessel_j(alpha, ORACLE_POINTS) - want)) <= bound
+    err = np.abs(bessel_j(alpha, ORACLE_POINTS) - want)
     if alpha in (-0.5, 0.5):  # jv's j_{1/2}(1e17) is -8.9e-18, not -4.6e-18
         far = j_mpmath(alpha, 1e17)
         assert abs(bessel_j(alpha, 1e17) - far) <= 1e-15 * abs(far)
+    else:
+        jv_err = np.abs(j_scipy_jv(alpha, ORACLE_POINTS) - want)
+        if bound is None:
+            bound = np.max(jv_err)
+        # from X0 on, in units of the envelope A t^(-alpha-1/2) that the oscillation
+        # fills, no larger than jv's error at the same points
+        x0 = radial._hankel_expansion(alpha)[0]
+        hankel = ORACLE_POINTS >= x0
+        assert 100 <= np.count_nonzero(hankel) <= 300
+        envelope = radial._asym_constants(alpha)[0] * ORACLE_POINTS[hankel] ** (-alpha - 0.5)
+        assert np.max(err[hankel] / envelope) <= np.max(jv_err[hankel] / envelope)
+    assert np.max(err) <= bound
+
+
+def test_jv_never_called_from_x0_on(monkeypatch):
+    # every order but -1/2 and 1/2 takes Hankel's expansion for t >= X0(alpha)
+    calls = []
+
+    def stub(alpha, t):
+        x0 = radial._hankel_expansion(alpha)[0]
+        assert np.all(np.asarray(t) < x0), f"jv called at order {alpha} with t >= X0 = {x0}"
+        calls.append(alpha)
+        return scipy_jv(alpha, t)
+
+    scipy_jv = radial.jv
+    monkeypatch.setattr(radial, "jv", stub)
+    orders = (0.0, 1.0, 1.5, 2.5, 5.0, 9.0, 31.0, 32.0)
+    for alpha in orders:
+        assert np.all(np.isfinite(bessel_j(alpha, ORACLE_POINTS)))
+    grid = np.linspace(0.0, 3.0, 7)
+    assert np.all(np.isfinite(yudin_hat_grid(2, grid)))
+    assert np.all(np.isfinite(yudin_Y(2, np.linspace(0.0, 30.0, 301))))
+    values, _ = gorbachev_H_grid(2, np.linspace(4.0, 8.0, 5))
+    assert np.all(np.isfinite(values))
+    assert np.all(np.isfinite(ball_char_transform(2, np.linspace(0.0, 30.0, 301))))
+    assert set(calls) == set(orders)  # the stub saw each order below its X0
 
 
 def test_closed_form_orders_never_reach_jv(monkeypatch):
-    # orders -1/2 and 1/2 are cos t and sin t / t; other orders still take jv,
-    # such as j_{3/2}(q) in the d = 3 bump's patch at its zero q
-    import pdextremal.radial as radial
-
+    # orders -1/2 and 1/2 are cos t and sin t / t; the stub passes any other
+    # order on to scipy
     scipy_jv = radial.jv
 
     def jv(alpha, t):
