@@ -380,9 +380,6 @@ def main(argv=None) -> int:
         # the interpreter's final flush neither fails nor prints a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NotAStrictTiling, ConditionViolated) as exc:
         print(f"verification precondition failed: {exc}", file=sys.stderr)
         return 2

@@ -62,12 +62,8 @@ def tiles_strict(group: Group, h, lam) -> bool:
     return packs_strict(group, h, lam) and covers(group, h, lam)
 
 
-def packing_type(w, lam, group: Group | None = None) -> bool:
-    """Generalized condition (Lambda - Lambda) intersect W subset of {0}."""
-    if group is None:
-        if not isinstance(w, SymSet):
-            raise ValueError("group must be given when W is not a SymSet")
-        group = w.group
+def packing_type(w, lam, group: Group) -> bool:
+    """Generalized condition (Lambda - Lambda) intersect W subset of {0}; W a SymSet or mask."""
     wmask = w.mask if isinstance(w, SymSet) else np.asarray(w, dtype=bool)
     dl = difference_mask(group, lam, lam)
     both = dl & wmask

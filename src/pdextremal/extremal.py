@@ -32,6 +32,7 @@ certificate check when it was first solved.  Failed solves are not remembered.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -306,30 +307,24 @@ def verify_product_bound(g1: Group, g2: Group, omega_plus_pair, omega_minus_pair
     }
 
 
-def _as_permutation(group: Group, phi) -> np.ndarray:
-    if isinstance(phi, (int, np.integer)):
-        imgs = group.index_of(group.coords * int(phi))
-        return np.asarray(imgs, dtype=np.int64)
-    perm = np.asarray(phi, dtype=np.int64)
-    if perm.shape != (group.size,):
-        raise ValueError("permutation must list the image of every element index")
-    return perm
-
-
-def verify_automorphism_invariance(group: Group, phi, omega_plus: SymSet,
+def verify_automorphism_invariance(group: Group, phi: int, omega_plus: SymSet,
                                    omega_minus: SymSet) -> dict:
-    """C_G(phi(Omega+), phi(Omega-)) equals C_G(Omega+, Omega-) for automorphisms."""
-    perm = _as_permutation(group, phi)
-    if sorted(perm.tolist()) != list(range(group.size)):
+    """C_G(u Omega+, u Omega-) equals C_G(Omega+, Omega-) for the automorphism x -> u x.
+
+    ``phi`` is the integer multiplier u.  Multiplication by an integer is a
+    homomorphism of every abelian group, and a bijection exactly when u is
+    prime to the exponent lcm(orders); on a cyclic group every automorphism
+    is of this form.
+    """
+    if not isinstance(phi, (int, np.integer)):
+        raise ValueError(f"phi must be an integer multiplier, got {phi!r}")
+    if math.gcd(int(phi), group.char_lcm) != 1:
         raise ValueError("phi is not a bijection on the group")
-    idx = np.arange(group.size)
-    sums = group.add_index(idx[:, None], idx[None, :])
-    if not np.array_equal(perm[sums], group.add_index(perm[idx][:, None], perm[idx][None, :])):
-        raise ValueError("phi is not additive")
+    images = group.index_of(group.coords * (int(phi) % group.char_lcm))
 
     def push(s: SymSet) -> SymSet:
         mask = np.zeros(group.size, dtype=bool)
-        mask[perm[s.indices]] = True
+        mask[images[s.indices]] = True
         return SymSet(group, mask)
 
     base = two_set_constant(group, omega_plus, omega_minus).value

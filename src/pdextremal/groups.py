@@ -8,7 +8,7 @@ on an array of shape ``orders``, so the DFT is numpy's n-dimensional FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -205,12 +205,12 @@ def inverse_dft(group: Group, spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spectrum.reshape(group.orders)).ravel() / group.weight
 
 
-def real_spectrum(f: GroupFunction, imag_tol: float = 1e-9) -> np.ndarray:
-    """Spectrum with the imaginary part dropped; rejects residue above imag_tol."""
+def real_spectrum(f: GroupFunction) -> np.ndarray:
+    """Spectrum with the imaginary part dropped; rejects an imaginary residue of 1e-9 or more."""
     spec = dft(f)
     residue = float(np.max(np.abs(spec.imag)))
-    if residue >= imag_tol:
-        raise ValueError(f"spectrum is not real: imaginary residue {residue:.3e} >= {imag_tol:.1e}")
+    if residue >= 1e-9:
+        raise ValueError(f"spectrum is not real: imaginary residue {residue:.3e} >= 1.0e-09")
     return spec.real.copy()
 
 
@@ -224,7 +224,7 @@ class SymSet:
 
     group: Group
     mask: np.ndarray
-    symmetrized: bool = False
+    symmetrized: bool = field(default=False, init=False)
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool)
@@ -307,18 +307,11 @@ def difference_mask(group: Group, a, b) -> np.ndarray:
     return difference_counts(group, a, b) > 0
 
 
-def difference_set(a, b, group: Group | None = None) -> SymSet:
-    """SymSet of {x - y : x in a, y in b}.
+def difference_set(a, b, group: Group) -> SymSet:
+    """SymSet of {x - y : x in a, y in b}; inputs as for difference_counts.
 
     For a == b the raw difference set is 0-symmetric already; otherwise the
     SymSet constructor symmetrizes and flags the result.  A SymSet argument
     on another group is rejected.
     """
-    if group is None:
-        if isinstance(a, SymSet):
-            group = a.group
-        elif isinstance(b, SymSet):
-            group = b.group
-        else:
-            raise ValueError("group must be given when neither argument is a SymSet")
     return SymSet(group, difference_mask(group, a, b))

@@ -70,6 +70,11 @@ class QuadratureError(RuntimeError):
 # (large_matrix_value); LpProblem refuses all of them
 _HIGHS_INF, _MAX_ENTRY = 1e20, 1e15
 
+# check_certificate's tolerance on the residual, the dual signs and dual
+# feasibility, each relative to the size of the data it prices; the output
+# reports it as "lp_pivot"
+CERTIFICATE_TOL = 1e-9
+
 
 def _bounds(lo, hi, size: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """lo and hi as float arrays of shape (size,), checked to be a bound pair."""
@@ -170,9 +175,9 @@ def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple
 
     row_bounds = np.concatenate([p.row_lower, p.row_upper])
     scale = float(np.max(np.abs(row_bounds[np.isfinite(row_bounds)]), initial=0.0))
-    dual_tol = 1e-9 * (1.0 + float(np.max(np.abs(p.c), initial=0.0)))
+    dual_tol = CERTIFICATE_TOL * (1.0 + float(np.max(np.abs(p.c), initial=0.0)))
     checks = (
-        ("residual", residual, 1e-9 * (1.0 + scale)),
+        ("residual", residual, CERTIFICATE_TOL * (1.0 + scale)),
         ("dual sign", sign_error, dual_tol),
         ("dual infeasibility", dual_infeasibility, dual_tol),
         ("duality gap", gap, 1e-8 * (1.0 + abs(objective))),

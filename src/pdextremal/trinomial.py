@@ -21,10 +21,6 @@ import numpy as np
 Z_MAX = math.pi / 4
 
 
-class SingularPoint(ArithmeticError):
-    """The coefficient denominator d(z) vanished inside the parameter range."""
-
-
 class ConstructionError(RuntimeError):
     """A verification step of the lower-bound construction failed."""
 
@@ -58,21 +54,17 @@ def critical_coeffs(z: float) -> Trinomial:
         raise ValueError(f"z = {z} outside [0, pi/4]")
     if z == 0.0:
         return Trinomial(16.0 / 15.0, 1.0 / 15.0)
-    d = _denominator(z)
-    if abs(d) <= 1e-12:
-        raise SingularPoint(f"denominator d(z) = {d:.3e} at z = {z!r}")
+    d = _denominator(z)  # at least 0.9 z on (0, pi/4]: about 15 z near 0, sqrt(2)/2 at pi/4
     return Trinomial(4.0 * math.sin(4.0 * z) / d, math.sin(z) / d)
 
 
-def is_nonneg(tri: Trinomial, grid_size: int = 4096) -> dict:
-    """Grid minimum of the trinomial on [0, pi], refined by local ternary search."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    ts = np.linspace(0.0, math.pi, grid_size)
+def is_nonneg(tri: Trinomial) -> dict:
+    """Grid minimum of the trinomial on [0, pi] (4096 points), refined by ternary search."""
+    ts = np.linspace(0.0, math.pi, 4096)
     vals = tri(ts)
     i = int(np.argmin(vals))
     lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_size - 1)]
+    hi = ts[min(i + 1, len(ts) - 1)]
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -168,17 +160,17 @@ def construction_spectrum(tri: Trinomial, ts: np.ndarray) -> np.ndarray:
     return tri(ts) * kernel
 
 
-def example51_lower_bound(grid_step: float = 1e-3) -> dict:
+def example51_lower_bound() -> dict:
     """Lower bound 1 + a + b for C(Q, empty) via Phi = triangle * measure.
 
-    Verifies Phi(0) = 1, nonnegativity, support inside the closed difference
-    set, nonnegative closed-form spectrum on [0, 100], and the exact integral.
+    Samples Phi on [-6, 6] with step 1e-3 and verifies Phi(0) = 1,
+    nonnegativity, support inside the closed difference set, nonnegative
+    closed-form spectrum on [0, 100], and the exact integral.
     """
     opt = optimize_trinomial()
     tri: Trinomial = opt["coeffs"]
     a, b = tri.a, tri.b
-    npts = int(round(12.0 / grid_step)) + 1
-    xs = np.linspace(-6.0, 6.0, npts)
+    xs = np.linspace(-6.0, 6.0, 12001)
     phi = construction_profile(tri, xs)
     checks = {}
 
@@ -198,7 +190,7 @@ def example51_lower_bound(grid_step: float = 1e-3) -> dict:
 
     checks["phi_at_4_is_b_half"] = abs(phi[np.argmin(np.abs(xs - 4.0))] - b / 2) <= 1e-15
     i25 = np.argmin(np.abs(xs - 2.5))
-    checks["phi_at_pm_2_5_is_zero"] = phi[i25] == 0.0 and phi[npts - 1 - i25] == 0.0
+    checks["phi_at_pm_2_5_is_zero"] = phi[i25] == 0.0 and phi[-1 - i25] == 0.0
 
     failed = [name for name, ok in checks.items() if not ok]
     if failed:

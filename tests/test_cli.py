@@ -33,6 +33,13 @@ def test_constant_tile_value(capsys):
     assert "tolerances" in payload and "seed" in payload
 
 
+def test_tolerances_are_the_constants_in_force():
+    from pdextremal import extremal, lp, posdef, radial
+
+    assert cli.TOLERANCES == {"value": extremal.VALUE_TOL, "posdef": posdef.DEFAULT_TOL,
+                              "lp_pivot": lp.CERTIFICATE_TOL, "quadrature": radial.QUAD_TOL}
+
+
 def test_interval_shorthand(capsys):
     code, out = run(capsys, [
         "constant",
@@ -504,7 +511,8 @@ def test_closed_stdout_exits_one_without_traceback():
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"t,Y\n"
     proc.stdout.close()
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
 

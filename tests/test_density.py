@@ -38,9 +38,9 @@ def test_covers_and_tiles():
 
 def test_packing_type_examples():
     g = make_group([6], "probability")
-    assert packing_type(SymSet.from_elements(g, [5, 0, 1]), [0, 2, 4])
-    assert not packing_type(SymSet.from_elements(g, [0, 2, 4]), [0, 2, 4])
-    assert packing_type(SymSet.from_elements(g, [0]), [0, 1, 3])
+    assert packing_type(SymSet.from_elements(g, [5, 0, 1]), [0, 2, 4], group=g)
+    assert not packing_type(SymSet.from_elements(g, [0, 2, 4]), [0, 2, 4], group=g)
+    assert packing_type(SymSet.from_elements(g, [0]), [0, 1, 3], group=g)
 
 
 def test_packs_strict_equals_count_criterion():

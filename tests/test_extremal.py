@@ -184,8 +184,38 @@ def test_automorphism_examples():
     rep = verify_automorphism_invariance(g8, 3, sym(g8, [0, 1, 7]), sym(g8, [0, 3, 5]))
     assert rep["pass"]
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi is not a bijection on the group"):
         verify_automorphism_invariance(g8, 2, sym(g8, [0, 1, 7]), SymSet.full(g8))
+
+
+def test_automorphism_takes_an_integer_multiplier_only():
+    g5 = make_group([5], "probability")
+    op = sym(g5, [0, 1, 4])
+    for phi in ([0, 2, 4, 1, 3], np.array([0, 2, 4, 1, 3]), 2.0, None):
+        with pytest.raises(ValueError, match="integer multiplier"):
+            verify_automorphism_invariance(g5, phi, op, SymSet.full(g5))
+    # a numpy integer, a negative one and one beyond int64 are units mod 5 as well
+    for phi in (np.int64(2), -3, 2**70 + 2):
+        rep = verify_automorphism_invariance(g5, phi, op, SymSet.full(g5))
+        assert rep["pass"]
+
+
+def test_automorphism_on_a_product_group():
+    # Z_4 x Z_6 has exponent 12; u = 5 acts as (a, b) -> (a, -b), and u = 3
+    # is not a unit: it sends (0, 2) to 0
+    g = make_group([4, 6], "probability")
+    op = sym(g, [(0, 0), (1, 1), (3, 5), (0, 2), (0, 4), (2, 3)])
+    om = sym(g, [(0, 0), (1, 2), (3, 4), (2, 3)])
+    mapped_op = sym(g, [(0, 0), (1, 5), (3, 1), (0, 4), (0, 2), (2, 3)])
+    mapped_om = sym(g, [(0, 0), (1, 4), (3, 2), (2, 3)])
+    assert not np.array_equal(op.mask, mapped_op.mask)
+    rep = verify_automorphism_invariance(g, 5, op, om)
+    assert rep["pass"]
+    assert rep["value"] == two_set_constant(g, op, om).value
+    assert rep["mapped_value"] == two_set_constant(g, mapped_op, mapped_om).value
+    assert rep["mapped_value"] == pytest.approx(rep["value"], abs=1e-12)
+    with pytest.raises(ValueError, match="phi is not a bijection on the group"):
+        verify_automorphism_invariance(g, 3, op, om)
 
 
 def test_monotonicity_and_upper_bound():

@@ -144,7 +144,7 @@ def test_difference_set_group_mismatch():
     a = SymSet.from_elements(make_group([6]), [0, 1])
     b = SymSet.from_elements(make_group([5]), [0, 1])
     with pytest.raises(ValueError):
-        difference_set(a, b)
+        difference_set(a, b, group=make_group([6]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,6 +194,8 @@ def test_symset_autosymmetrizes_with_flag():
     t = SymSet.from_elements(g, [0, 1, 5])
     assert not t.symmetrized
     assert t.elements() == [0, 1, 5]
+    with pytest.raises(TypeError):  # set by the constructor, not passed to it
+        SymSet(g, t.mask, True)
 
 
 def test_group_json_roundtrip():
