@@ -28,6 +28,14 @@ element classes meet Omega+ and Omega-, as bytes.  The LP is a function of
 that key alone, so a repeat is the identical LP, and it is answered before
 anything is assembled, with no re-check: its answer passed ``lp.solve``'s
 certificate check when it was first solved.  Failed solves are not remembered.
+
+On a miss, the LP's class tables (the class representatives of characters
+and elements, and the cosine matrices of the characters on the element
+classes) are read from a second memo of the same kind and budget.  They
+depend only on the group's orders and the class labels, keyed as bytes, not
+on the weight or on Omega+-, which only choose the rows kept and their bounds;
+so the many LPs of one group and labelling share one build.  A table larger
+than the budget (one of Z_2048 has ~17 MB) is built for its LP and not kept.
 """
 
 from __future__ import annotations
@@ -50,13 +58,14 @@ VALUE_TOL = 1e-8
 # --max-n 400 one could run for minutes
 WITNESS_NODES = 10**6
 
-# the memo's budget, charged per answer for its two value arrays, the byte
+# the budget of each memo, charged per entry for its value arrays, the byte
 # strings of its key and the tuples, floats and array objects and dict slot
-# that hold them (400-600 bytes measured with tracemalloc): a few hundred answers
-# of the largest LPs a suite may draw (N = 2048), or thousands of verify-sized
-# ones
+# that hold them (measured with tracemalloc at the smallest entries, on Z_1:
+# ~600 bytes per answer, 870-980 per class table with its four arrays): a few
+# hundred answers of the largest LPs a suite may draw (N = 2048), or thousands
+# of verify-sized ones; the class tables of a verify-sized group take a few KiB
 _MEMO_BYTES = 8 * 2**20
-_ENTRY_BYTES = 768
+_ENTRY_BYTES = 1024
 
 
 class NotAStrictTiling(ValueError):
@@ -68,27 +77,29 @@ class ConditionViolated(ValueError):
 
 
 class _Memo:
-    """Answers of _solve by LP key, oldest first, within budget bytes."""
+    """Entries by key, oldest first, within budget bytes."""
 
     def __init__(self, budget: int = _MEMO_BYTES):
         self.budget, self.nbytes, self.entries = budget, 0, OrderedDict()
 
     @staticmethod
-    def _size(key: tuple, answer: tuple) -> int:
-        strings = sum(len(b) for b in key[2:] if b is not None)  # labels, Omega+-
-        return strings + answer[1].nbytes + answer[2].nbytes + _ENTRY_BYTES
+    def _size(key: tuple, value: tuple) -> int:
+        strings = sum(len(b) for b in key if isinstance(b, bytes))  # labels, Omega+-
+        arrays = sum(v.nbytes for v in value if isinstance(v, np.ndarray))
+        return strings + arrays + _ENTRY_BYTES
 
-    def put(self, key: tuple, answer: tuple) -> None:
-        size = self._size(key, answer)
+    def put(self, key: tuple, value: tuple) -> None:
+        size = self._size(key, value)
         if size > self.budget:
             return
-        self.entries[key] = answer
+        self.entries[key] = value
         self.nbytes += size
         while self.nbytes > self.budget:
             self.nbytes -= self._size(*self.entries.popitem(last=False))
 
 
 _solved = _Memo()  # the process's optimal answers of _solve
+_built = _Memo()  # the process's class tables of _solve, by group orders and labels
 
 
 @dataclass
@@ -97,6 +108,39 @@ class ExtremalResult:
     optimizer: Optional[GroupFunction]
     spectrum: Optional[np.ndarray]
     status: str  # optimal | infeasible-zero
+
+
+def _tables(group: Group, labels: tuple, chars: np.ndarray, elems: np.ndarray) -> tuple:
+    """The class tables of _solve: (char_reps, reps, base, rho) for all element classes.
+
+    They depend on the group's orders and the class labels alone (``labels``
+    holds the bytes of ``chars`` and ``elems``, None for the identity), not on
+    the weight or Omega+-, so they are built once per key and kept, read-only,
+    in their own memo.
+    """
+    key = (group.orders, *labels)
+    known = _built.entries.get(key)
+    if known is not None:
+        return known
+    idx, neg = np.arange(group.size), group.neg
+    # one representative per class pair {C, -C}, for characters and elements alike,
+    # selected by a mask: np.flatnonzero's view would keep a second array in the memo
+    char_reps = idx[(chars == idx) & (idx <= chars[neg])]
+    reps = idx[(elems == idx) & (idx <= elems[neg])]
+
+    # rho_k(x): character pair k summed over the class pair of x; chi_k(-x) has the
+    # exact phase (-p) mod L, added as such, not doubled, so values are bit-stable
+    L = group.char_lcm
+    phases = group.char_phases(char_reps, reps)
+    mult = 1 + (chars[neg[char_reps]] != char_reps)[:, None]
+    base = np.cos((2 * np.pi / L) * phases) * mult
+    paired = elems[neg[reps]] != reps
+    rho = base + paired * mult * np.cos((2 * np.pi / L) * (-phases % L))
+    tables = char_reps, reps, base, rho
+    for array in tables:
+        array.flags.writeable = False
+    _built.put(key, tables)
+    return tables
 
 
 def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
@@ -133,11 +177,7 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     if known is not None:
         return known
 
-    neg = group.neg
-    # one representative per class pair {C, -C}, for characters and elements alike
-    char_reps = np.flatnonzero((chars == idx) & (idx <= chars[neg]))
-    reps = np.flatnonzero((elems == idx) & (idx <= elems[neg]))
-
+    char_reps, reps, base, rho_all = _tables(group, labels, chars, elems)
     # one row per element class: f(0) = 1 (scaled by M w), then a sign row
     # for every class outside Omega+ (f <= 0) or outside Omega- (f >= 0)
     keep = ~(inside_plus[reps] & inside_minus[reps])
@@ -146,15 +186,7 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     upper = np.where(inside_plus[rows], np.inf, 0.0)
     lower = np.where(inside_minus[rows], -np.inf, 0.0)
     lower[0] = upper[0] = scale = np.count_nonzero(chars == idx) * group.weight
-
-    # rho_k(x): character pair k summed over the class pair of x; chi_k(-x) has the
-    # exact phase (-p) mod L, added as such, not doubled, so values are bit-stable
-    L = group.char_lcm
-    phases = group.char_phases(char_reps, reps)
-    mult = 1 + (chars[neg[char_reps]] != char_reps)[:, None]
-    base = np.cos((2 * np.pi / L) * phases) * mult
-    paired = elems[neg[reps]] != reps
-    rho = (base + paired * mult * np.cos((2 * np.pi / L) * (-phases % L)))[:, keep]
+    rho = rho_all[:, keep]
 
     c = np.zeros(char_reps.shape[0])
     c[0] = 1.0  # the trivial-character value is the Haar integral of f
@@ -163,6 +195,7 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
         raise SolverFailure(f"extremal LP ended with status {sol.status}")
 
     value = float(sol.objective_value)
+    neg = group.neg
     spectrum = np.zeros(n)
     spectrum[char_reps] = sol.x
     spectrum[neg[char_reps]] = sol.x

@@ -53,18 +53,24 @@ class SplitMix64:
         return items[self.below(len(items))]
 
 
+def _random_orbits(rng: SplitMix64, group: Group, allowed) -> np.ndarray:
+    """Random union of the orbits {x, -x}, x != 0, with x in ``allowed``.
+
+    One ``chance(1, 2)`` per orbit, drawn in increasing order of its least
+    element x (x <= -x as indices).
+    """
+    neg, idx = group.neg, np.arange(group.size)
+    reps = np.flatnonzero((0 < idx) & (idx <= neg) & allowed)
+    picked = reps[np.array([rng.chance(1, 2) for _ in range(reps.size)], dtype=bool)]
+    mask = np.zeros(group.size, dtype=bool)
+    mask[picked] = mask[neg[picked]] = True
+    return mask
+
+
 def symmetric_mask(rng: SplitMix64, group: Group, include_zero: bool) -> np.ndarray:
     """Random 0-symmetric mask; each {x, -x} orbit kept with probability 1/2."""
-    mask = np.zeros(group.size, dtype=bool)
-    for x in range(group.size):
-        if x > group.neg[x]:
-            continue
-        if x == 0:
-            mask[0] = include_zero
-            continue
-        if rng.chance(1, 2):
-            mask[x] = True
-            mask[group.neg[x]] = True
+    mask = _random_orbits(rng, group, True)
+    mask[0] = include_zero
     return mask
 
 
@@ -140,12 +146,8 @@ def _main_case(rng: SplitMix64, max_n: int) -> dict:
             lam.append(pool.pop(rng.below(len(pool))))
         lam = sorted(lam)
         dl = difference_mask(group, lam, lam)
-        mask = np.zeros(n, dtype=bool)
+        mask = _random_orbits(rng, group, ~dl & ~dl[group.neg])
         mask[0] = True
-        for x in range(1, n):
-            if x <= group.neg[x] and not dl[x] and not dl[group.neg[x]] and rng.chance(1, 2):
-                mask[x] = True
-                mask[group.neg[x]] = True
         omega_plus = SymSet(group, mask)
     rep = verify_main_theorem(group, omega_plus, lam)
     return {"n": n, "omega_plus": omega_plus.elements(), "lam": lam,

@@ -3,13 +3,19 @@
 Elements are indexed lexicographically over coordinate tuples (last coordinate
 fastest), so JSON input/output is bit-stable.  This order is numpy's C order
 on an array of shape ``orders``, so the DFT is numpy's n-dimensional FFT.
+
+A group's layout (the strides of that order, every element's coordinates and
+the negation x -> -x) depends on ``orders`` alone.  It is built once per
+process for each ``orders``, kept in a least-recently-used cache of _LAYOUTS
+entries, and shared, read-only, by every group with those orders, whatever
+its weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -28,6 +34,11 @@ MAX_JSON_GROUP = 4096
 # of 8e-7 on 60 random two-set LPs, and 1e13 already failed once
 MASS_RANGE = (1e-2, 1e12)
 
+# layouts kept by _layout: an argv list of the benchmark's verify-many
+# workload meets 72-75 distinct orders, and a cyclic group of the suites'
+# largest size (2048) has a 32 KiB layout, so 256 of them hold at most 8 MiB
+_LAYOUTS = 256
+
 
 def _resolve_weight(n: int, normalization) -> float:
     if normalization == "probability":
@@ -42,6 +53,20 @@ def _resolve_weight(n: int, normalization) -> float:
         except OverflowError:  # an int beyond float range
             return math.inf if normalization > 0 else -math.inf
     raise ValueError(f"unknown normalization {normalization!r}")
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strides, coordinates and negation of Z_orders, read-only, shared by equal groups."""
+    strides = np.ones(len(orders), dtype=np.int64)
+    for j in range(len(orders) - 2, -1, -1):
+        strides[j] = strides[j + 1] * orders[j + 1]
+    modulus = np.asarray(orders, dtype=np.int64)
+    coords = (np.arange(math.prod(orders), dtype=np.int64)[:, None] // strides) % modulus
+    neg = ((-coords) % modulus) @ strides
+    for array in (strides, coords, neg):
+        array.flags.writeable = False
+    return strides, coords, neg
 
 
 @dataclass(frozen=True)
@@ -72,23 +97,19 @@ class Group:
     def total_mass(self) -> float:
         return self.size * self.weight
 
-    @cached_property
+    @property
     def _strides(self) -> np.ndarray:
-        s = np.ones(len(self.orders), dtype=np.int64)
-        for j in range(len(self.orders) - 2, -1, -1):
-            s[j] = s[j + 1] * self.orders[j + 1]
-        return s
+        return _layout(self.orders)[0]
 
-    @cached_property
+    @property
     def coords(self) -> np.ndarray:
         """All element coordinates, shape (N, k), lexicographic order."""
-        idx = np.arange(self.size, dtype=np.int64)
-        return self.coords_of(idx)
+        return _layout(self.orders)[1]
 
-    @cached_property
+    @property
     def neg(self) -> np.ndarray:
         """Index array mapping x -> -x."""
-        return self.index_of((-self.coords) % np.asarray(self.orders, dtype=np.int64))
+        return _layout(self.orders)[2]
 
     def coords_of(self, index) -> np.ndarray:
         index = np.asarray(index, dtype=np.int64)

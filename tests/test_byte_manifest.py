@@ -3,8 +3,8 @@
 ``byte_manifest.json`` maps each argv of a fast set that covers every command,
 in JSON and (where a command has it) CSV form, to the sha256 of its stdout and
 its exit code, and records the Python, numpy and scipy versions it was made
-with.  Each argv runs through ``cli.main`` in this process with an empty
-extremal memo, as it would in a fresh process.
+with.  Each argv runs through ``cli.main`` in this process with empty
+extremal memos (answers and class tables), as it would in a fresh process.
 
 A change that moves bytes on purpose regenerates the manifest with
 
@@ -29,6 +29,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 import pdextremal.cli as cli
@@ -88,15 +89,17 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def outcome(argv: list[str]) -> list:
-    """[sha256 of stdout, exit code] of one argv, run with an empty extremal memo."""
-    saved, extremal._solved = extremal._solved, extremal._Memo()
+def outcome(argv: list[str], memos=None) -> list:
+    """[sha256 of stdout, exit code] of one argv, run with the given extremal
+    memos (answers, class tables), by default empty ones."""
+    saved = extremal._solved, extremal._built
+    extremal._solved, extremal._built = memos or (extremal._Memo(), extremal._Memo())
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     finally:
-        extremal._solved = saved
+        extremal._solved, extremal._built = saved
     return [hashlib.sha256(out.getvalue().encode()).hexdigest(), code]
 
 
@@ -111,6 +114,17 @@ def test_outputs_match_the_manifest():
     if moved:
         problems.append(f"{len(moved)} of {len(expected)} argv moved:\n" + "\n".join(moved))
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("suite", ["hom", "auto"])  # hom labels its classes off the identity
+def test_warm_memos_give_the_manifest_bytes(suite):
+    argv = ["verify", suite, "--fuzz", "30", "--seed", "5"]
+    expected = json.loads(MANIFEST.read_text())["outputs"][shlex.join(argv)]
+    answers, tables = extremal._Memo(), extremal._Memo()
+    assert outcome(argv, (answers, tables)) == expected  # both memos empty
+    assert answers.entries and tables.entries
+    assert outcome(argv, (extremal._Memo(), tables)) == expected  # every LP from warm tables
+    assert outcome(argv, (answers, tables)) == expected  # every LP from a warm answer
 
 
 def test_in_process_bytes_are_the_command_line_bytes():

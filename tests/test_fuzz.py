@@ -1,4 +1,7 @@
-from pdextremal.fuzz import SUITES, SplitMix64
+import numpy as np
+
+from pdextremal.fuzz import SUITES, SplitMix64, _random_orbits, symmetric_mask
+from pdextremal.groups import make_group
 
 
 def test_splitmix64_known_answer_vectors():
@@ -34,3 +37,26 @@ def test_suites_replay_identically():
 def test_main_suite_reports_tightness():
     rep = SUITES["main"](40, seed=2)
     assert rep["tight_instances"] >= 1
+
+
+def _orbits_by_loop(rng, group, allowed):
+    """The element-by-element reference: one draw per orbit {x, -x}, x != 0, in x order."""
+    mask = np.zeros(group.size, dtype=bool)
+    for x in range(1, group.size):
+        if x <= group.neg[x] and allowed[x] and rng.chance(1, 2):
+            mask[x] = mask[group.neg[x]] = True
+    return mask
+
+
+def test_orbit_draws_match_the_loop():
+    for orders in ([1], [2], [9], [12], [2, 6], [3, 3, 4]):
+        g = make_group(orders)
+        for seed in range(5):
+            allowed = np.random.default_rng(seed).random(g.size) < 0.7
+            for allow in (np.ones(g.size, dtype=bool), allowed):
+                a, b = SplitMix64(seed), SplitMix64(seed)
+                assert np.array_equal(_random_orbits(a, g, allow), _orbits_by_loop(b, g, allow))
+                assert a.state == b.state  # the same number of draws
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            mask = symmetric_mask(a, g, include_zero=False)
+            assert not mask[0] and np.array_equal(mask, _orbits_by_loop(b, g, np.ones(g.size)))

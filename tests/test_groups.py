@@ -211,3 +211,17 @@ def test_element_indexing_is_lexicographic():
     coords = [tuple(c) for c in g.coords]
     assert coords == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert g.element_index((1, 2)) == 5
+
+
+def test_equal_orders_share_one_read_only_layout():
+    g, h = make_group([4, 6], "probability"), make_group([4, 6], "counting")
+    assert g.weight != h.weight and g.neg is h.neg and g.coords is h.coords
+    assert np.array_equal(g.neg, g.index_of(-g.coords))
+    for array in (g.neg, g.coords):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert make_group([6, 4]).neg is not g.neg
+    mask = np.zeros(24, dtype=bool)
+    mask[[0, g.element_index((0, 1))]] = True  # (0, 5) = -(0, 1) missing
+    s = SymSet(h, mask)
+    assert s.symmetrized and s.elements() == [(0, 0)]

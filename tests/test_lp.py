@@ -118,8 +118,9 @@ def test_dual_certificate_simple():
 
 
 def _forget(monkeypatch):
-    """Empty the extremal memo, so that the next extremal LP reaches solve."""
+    """Empty the extremal memos, so that the next extremal LP is built and reaches solve."""
     monkeypatch.setattr(extremal, "_solved", extremal._Memo())
+    monkeypatch.setattr(extremal, "_built", extremal._Memo())
 
 
 def test_determinism_same_bytes():
@@ -470,6 +471,11 @@ def test_changed_entry_is_a_miss(monkeypatch):
     assert len(extremal._solved.entries) == 1 + len(variants)
     assert all(a[3] == "optimal" for a in [base, *answers])
     assert extremal._solve(g, plus, minus) is base and len(calls) == 1 + len(variants)
+    # class tables by orders and labels alone: Z_12, Z_2 x Z_6, and the two labellings
+    assert len(extremal._built.entries) == 4
+    for v, answer in zip(variants, answers):  # the same bytes from tables built afresh
+        _forget(monkeypatch)
+        assert _answer_bytes(extremal._solve(*v)) == _answer_bytes(answer)
 
 
 def test_omega_minus_with_and_without_zero_share_an_entry(monkeypatch):
@@ -531,6 +537,12 @@ def _entry_bytes(n):
     return 2 * 8 * n + 2 * n + extremal._ENTRY_BYTES  # f_values, spectrum, Omega+-
 
 
+def _table_bytes(n):
+    """What the table memo charges for the class tables of Z_n with the identity labels."""
+    m = n // 2 + 1  # class pairs of characters, and of elements
+    return 2 * 8 * m + 2 * 8 * m * m + extremal._ENTRY_BYTES  # char_reps, reps, base, rho
+
+
 def _z12_sets():
     """Omega+ for each nonempty set of the classes {1, 11}, ..., {5, 7}, {6} of Z_12."""
     g = make_group([12], "probability")
@@ -539,50 +551,78 @@ def _z12_sets():
                                              for x in p]) for k in range(1, 64)]
 
 
-def test_memo_keeps_within_its_budget_and_drops_the_oldest(monkeypatch):
-    assert extremal._solved.budget == extremal._MEMO_BYTES <= 16 * 2**20
-    entry = _entry_bytes(12)
-    memo = extremal._Memo(budget=10 * entry + entry // 2)
-    monkeypatch.setattr(extremal, "_solved", memo)
+# The memo tests run on both memos of extremal: the answers (_solved) and the
+# class tables (_built).  The other memo keeps nothing, so that every call
+# reaches the memo under test.
+MEMOS = pytest.mark.parametrize("name", ["_solved", "_built"], ids=["answers", "tables"])
+_CHARGE = {"_solved": _entry_bytes, "_built": _table_bytes}
+
+
+def _use_memo(monkeypatch, name, budget):
+    memo = extremal._Memo(budget=budget)
+    monkeypatch.setattr(extremal, name, memo)
+    monkeypatch.setattr(extremal, {"_solved": "_built", "_built": "_solved"}[name],
+                        extremal._Memo(budget=0))
+    return memo
+
+
+def _lps(name, count):
+    """count LPs of order 12, each with its own entry in the memo, all of one size:
+    Omega+ changes from one answer to the next, the group Z_12 x Z_1^k from one
+    table to the next."""
     g, sets = _z12_sets()
-    full = SymSet.full(g)
-    results = []
-    for op in sets[:30]:
-        results.append(two_set_constant(g, op, full))
+    if name == "_solved":
+        return [(g, op, SymSet.full(g)) for op in sets[:count]]
+    groups = [make_group([12] + [1] * k, "probability") for k in range(count)]
+    return [(h, SymSet(h, sets[0].mask), SymSet.full(h)) for h in groups]
+
+
+@MEMOS
+def test_memo_keeps_within_its_budget_and_drops_the_oldest(monkeypatch, name):
+    assert getattr(extremal, name).budget == extremal._MEMO_BYTES <= 16 * 2**20
+    entry = _CHARGE[name](12)
+    memo = _use_memo(monkeypatch, name, 10 * entry + entry // 2)
+    lps, keys = _lps(name, 30), []
+    for lp in lps:
+        assert two_set_constant(*lp).status == "optimal"
+        keys.append(next(reversed(memo.entries)))
         assert memo.nbytes <= memo.budget
-    assert len(memo.entries) == 10
-    assert all(a[2] is r.spectrum for a, r in zip(memo.entries.values(), results[-10:]))
-    assert memo.nbytes == 10 * entry
+    assert list(memo.entries) == keys[-10:] and memo.nbytes == 10 * entry
+    held = list(memo.entries.values())
 
-    calls = _lp_solves(monkeypatch)
-    assert two_set_constant(g, sets[29], full).spectrum is results[-1].spectrum
-    assert not calls  # kept
-    two_set_constant(g, sets[0], full)  # dropped, so solved again
-    assert len(calls) == 1 and len(memo.entries) == 10
-    assert all(a[2] is not results[20].spectrum for a in memo.entries.values())  # the oldest
-    assert memo.nbytes == 10 * entry
+    two_set_constant(*lps[29])  # kept, so not built again
+    assert all(a is b for a, b in zip(memo.entries.values(), held, strict=True))
+    two_set_constant(*lps[0])  # dropped, so built again, and the oldest goes
+    assert list(memo.entries) == keys[21:] + keys[:1] and memo.nbytes == 10 * entry
 
 
-def test_answer_larger_than_the_budget_is_not_remembered(monkeypatch):
-    memo = extremal._Memo(budget=_entry_bytes(12) + 100)
-    monkeypatch.setattr(extremal, "_solved", memo)
+@MEMOS
+def test_entry_larger_than_the_budget_is_not_remembered(monkeypatch, name):
+    memo = _use_memo(monkeypatch, name, _CHARGE[name](12) + 100)
     g, sets = _z12_sets()
-    kept = two_set_constant(g, sets[0], SymSet.full(g))
-    h = make_group([24], "probability")  # an answer of _entry_bytes(24) > budget bytes
+    two_set_constant(g, sets[0], SymSet.full(g))
+    (kept,) = memo.entries.values()
+    h = make_group([24], "probability")  # an entry of _CHARGE[name](24) > budget bytes
     assert two_set_constant(h, SymSet.from_elements(h, [0, 1, 23]), SymSet.full(h)).status == \
         "optimal"
-    (answer,) = memo.entries.values()
-    assert answer[2] is kept.spectrum and memo.nbytes == _entry_bytes(12)  # nothing dropped
+    (held,) = memo.entries.values()
+    assert held is kept and memo.nbytes == _CHARGE[name](12)  # nothing dropped
 
 
-def test_memo_budget_bounds_its_memory():
+@MEMOS
+def test_memo_budget_bounds_its_memory(monkeypatch, name):
     import tracemalloc
 
-    memo = extremal._Memo(budget=2**16)
+    memo = _use_memo(monkeypatch, name, 2**16)
+    g, idx = make_group([1]), np.arange(1)
+    extremal._tables(g, (None, None), idx, idx)  # the group's layout and lcm, outside the count
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for k in range(5000):  # the smallest answers, on Z_1, as _solve makes them
+        for k in range(5000):  # the smallest entries, on Z_1, as extremal makes them
+            if name == "_built":  # each under labels of its own
+                extremal._tables(g, (k.to_bytes(8, "little"), None), idx, idx)
+                continue
             orders, weight = tuple([1]), 1.0 + k / 5000  # a new group's own objects
             inside = np.ones(1, dtype=bool)
             f_values, spectrum = np.ones(1), np.ones(1)
