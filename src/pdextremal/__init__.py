@@ -14,11 +14,9 @@ from .groups import (
     SymSet,
     dft,
     difference_set,
-    inverse_dft,
     make_group,
-    real_spectrum,
 )
-from .posdef import autocorrelation, is_posdef, periodize, schur_product
+from .posdef import autocorrelation, is_posdef
 from .lp import LpProblem, LpSolution, QuadratureError, SolverFailure, check_certificate, solve
 from .extremal import (
     ExtremalResult,
@@ -45,8 +43,8 @@ from .density import (
 )
 # radial (which imports scipy.special) and trinomial load on first use
 _LAZY = {
-    **dict.fromkeys(["ball_char_transform", "bessel_first_zero", "bessel_j",
-                     "sphere_transform", "yudin_Y", "yudin_sign_check"], "radial"),
+    **dict.fromkeys(["ball_char_transform", "bessel_first_zero", "bessel_j", "yudin_Y",
+                     "yudin_sign_check"], "radial"),
     **dict.fromkeys(["Trinomial", "critical_coeffs", "example51_comparison",
                      "example51_lower_bound", "is_nonneg", "optimize_trinomial"], "trinomial"),
 }
@@ -62,9 +60,8 @@ def __getattr__(name):
 
 __all__ = [
     "__version__",
-    "Group", "GroupFunction", "SymSet", "make_group", "dft", "inverse_dft",
-    "real_spectrum", "difference_set",
-    "is_posdef", "autocorrelation", "schur_product", "periodize",
+    "Group", "GroupFunction", "SymSet", "make_group", "dft", "difference_set",
+    "is_posdef", "autocorrelation",
     "LpProblem", "LpSolution", "SolverFailure", "check_certificate", "solve",
     "ExtremalResult", "two_set_constant", "turan", "delsarte",
     "verify_tile_theorem", "verify_main_theorem", "verify_homomorphism_bound",
@@ -73,7 +70,7 @@ __all__ = [
     "auud_finite", "auud_periodic", "max_density_search", "density_bounds_check",
     "integer_shadow",
     "QuadratureError", "bessel_j", "bessel_first_zero", "yudin_Y",
-    "yudin_sign_check", "ball_char_transform", "sphere_transform",
+    "yudin_sign_check", "ball_char_transform",
     "Trinomial", "critical_coeffs", "is_nonneg", "optimize_trinomial",
     "example51_lower_bound", "example51_comparison",
 ]

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import Group, SymSet, _as_indices, difference_counts, difference_mask, make_group
+from .groups import (_CHUNK, Group, SymSet, _as_indices, difference_counts, difference_mask,
+                     make_group)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,21 @@ def integer_shadow(intervals: Sequence[Sequence[float]], closed: bool = False) -
     return sorted(out)
 
 
+def _conflicts(group: Group, allowed: np.ndarray) -> list[int]:
+    """conflict[x] with bit y set when x - y is outside the mask allowed.
+
+    The differences are taken in blocks of at most _CHUNK, one block up to
+    N = 512, and each block's rows packed to bits at once.
+    """
+    n, conflict = group.size, []
+    idx, step = np.arange(n), max(1, _CHUNK // n)
+    for start in range(0, n, step):
+        diffs = group.sub_index(idx[start:start + step, None], idx)
+        bits = np.packbits(~allowed[diffs], axis=1, bitorder="little")
+        conflict += [int.from_bytes(row.tobytes(), "little") for row in bits]
+    return conflict
+
+
 def _packing_set(group: Group, allowed: np.ndarray, max_nodes: float = math.inf) -> list[int]:
     """Largest A (element indices) with A - A inside the mask allowed.
 
@@ -120,12 +136,7 @@ def _packing_set(group: Group, allowed: np.ndarray, max_nodes: float = math.inf)
     """
     if not allowed[0]:
         return []
-    n = group.size
-    idx = np.arange(n)
-    # conflict[x] has bit y set when x - y is outside allowed
-    conflict = [int.from_bytes(np.packbits(~allowed[group.sub_index(x, idx)],
-                                           bitorder="little").tobytes(), "little")
-                for x in range(n)]
+    n, conflict = group.size, _conflicts(group, allowed)
     best, best_size, nodes = 0, 0, 0
     stack = [(0, 0, 0, 0)]  # (next element, banned mask, chosen mask, chosen count)
     while stack and nodes < max_nodes:

@@ -30,12 +30,16 @@ anything is assembled, with no re-check: its answer passed ``lp.solve``'s
 certificate check when it was first solved.  Failed solves are not remembered.
 
 On a miss, the LP's class tables (the class representatives of characters
-and elements, and the cosine matrices of the characters on the element
-classes) are read from a second memo of the same kind and budget.  They
-depend only on the group's orders and the class labels, keyed as bytes, not
-on the weight or on Omega+-, which only choose the rows kept and their bounds;
-so the many LPs of one group and labelling share one build.  A table larger
-than the budget (one of Z_2048 has ~17 MB) is built for its LP and not kept.
+and elements, the cosine matrices of the characters on the element classes,
+and the number M of character classes) come from a second memo of the same
+kind and budget.  They depend only on the group's orders and the class
+labels, keyed as bytes, not on the weight or on Omega+-, which only choose
+the rows kept and their bounds; so the many LPs of one group and labelling
+share one build.  A key's first request records the key alone, charged like
+any entry, and its tables are kept from the second request on: a group met
+once, as each group of a list of large constants is, keeps no table.  A
+table larger than the budget (one of Z_2048 has ~17 MB) is built for its LP
+and not kept.
 """
 
 from __future__ import annotations
@@ -89,9 +93,13 @@ class _Memo:
         return strings + arrays + _ENTRY_BYTES
 
     def put(self, key: tuple, value: tuple) -> None:
+        """Keep value under key, newest, in place of an entry the key had."""
         size = self._size(key, value)
         if size > self.budget:
             return
+        held = self.entries.pop(key, None)
+        if held is not None:
+            self.nbytes -= self._size(key, held)
         self.entries[key] = value
         self.nbytes += size
         while self.nbytes > self.budget:
@@ -111,16 +119,20 @@ class ExtremalResult:
 
 
 def _tables(group: Group, labels: tuple, chars: np.ndarray, elems: np.ndarray) -> tuple:
-    """The class tables of _solve: (char_reps, reps, base, rho) for all element classes.
+    """The class tables of _solve: (char_reps, reps, base, rho, M).
 
-    They depend on the group's orders and the class labels alone (``labels``
-    holds the bytes of ``chars`` and ``elems``, None for the identity), not on
-    the weight or Omega+-, so they are built once per key and kept, read-only,
-    in their own memo.
+    char_reps and reps hold one representative per class pair {C, -C} of
+    characters and of elements, base and rho the cosine matrices of the
+    character pairs on all element classes, and M the number of character
+    classes.  They depend on the group's orders and the class labels alone
+    (``labels`` holds the bytes of ``chars`` and ``elems``, None for the
+    identity), not on the weight or Omega+-.  A key's first request is
+    recorded in the memo, as an empty entry; the tables are kept, read-only,
+    from its second request on, so a group met once keeps nothing.
     """
     key = (group.orders, *labels)
     known = _built.entries.get(key)
-    if known is not None:
+    if known:
         return known
     idx, neg = np.arange(group.size), group.neg
     # one representative per class pair {C, -C}, for characters and elements alike,
@@ -136,10 +148,10 @@ def _tables(group: Group, labels: tuple, chars: np.ndarray, elems: np.ndarray) -
     base = np.cos((2 * np.pi / L) * phases) * mult
     paired = elems[neg[reps]] != reps
     rho = base + paired * mult * np.cos((2 * np.pi / L) * (-phases % L))
-    tables = char_reps, reps, base, rho
-    for array in tables:
+    for array in (char_reps, reps, base, rho):
         array.flags.writeable = False
-    _built.put(key, tables)
+    tables = char_reps, reps, base, rho, int(np.count_nonzero(chars == idx))
+    _built.put(key, () if known is None else tables)
     return tables
 
 
@@ -161,14 +173,15 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     the answer needs no second certificate check.
     """
     n = group.size
-    idx = np.arange(n)
     labels = tuple(None if v is None else np.asarray(v, dtype=np.int64).tobytes()
                    for v in (chars, elems))  # None: the identity labels of G
-    chars = idx if chars is None else chars
-    elems = idx if elems is None else elems
-    inside_plus, inside_minus = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    inside_plus[elems[mask_plus & (elems >= 0)]] = True  # a class meets Omega+
-    inside_minus[elems[mask_minus & (elems >= 0)]] = True
+    if elems is None:  # every element is its own class
+        inside_plus = np.array(mask_plus, dtype=bool)  # copies: inside_minus[0] is set below
+        inside_minus = np.array(mask_minus, dtype=bool)
+    else:
+        inside_plus, inside_minus = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        inside_plus[elems[mask_plus & (elems >= 0)]] = True  # a class meets Omega+
+        inside_minus[elems[mask_minus & (elems >= 0)]] = True
     if not inside_plus[0]:
         return 0.0, np.zeros(n), np.zeros(n), "infeasible-zero"
     inside_minus[0] = True  # row 0 is f(0) = 1 whether or not 0 is in Omega-
@@ -177,15 +190,17 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     if known is not None:
         return known
 
-    char_reps, reps, base, rho_all = _tables(group, labels, chars, elems)
+    idx = np.arange(n)
+    char_reps, reps, base, rho_all, classes = _tables(
+        group, labels, idx if chars is None else chars, idx if elems is None else elems)
     # one row per element class: f(0) = 1 (scaled by M w), then a sign row
     # for every class outside Omega+ (f <= 0) or outside Omega- (f >= 0)
-    keep = ~(inside_plus[reps] & inside_minus[reps])
+    keep = ~(inside_plus & inside_minus)[reps]
     keep[0] = True
     rows = reps[keep]
     upper = np.where(inside_plus[rows], np.inf, 0.0)
     lower = np.where(inside_minus[rows], -np.inf, 0.0)
-    lower[0] = upper[0] = scale = np.count_nonzero(chars == idx) * group.weight
+    lower[0] = upper[0] = scale = classes * group.weight
     rho = rho_all[:, keep]
 
     c = np.zeros(char_reps.shape[0])
@@ -200,8 +215,8 @@ def _solve(group: Group, mask_plus: np.ndarray, mask_minus: np.ndarray,
     spectrum[char_reps] = sol.x
     spectrum[neg[char_reps]] = sol.x
     f_values = np.zeros(n)
-    f_values[reps] = sol.x @ base / scale
-    f_values[neg[reps]] = f_values[reps]
+    f_values[reps] = at_reps = sol.x @ base / scale
+    f_values[neg[reps]] = at_reps
     f_values.flags.writeable = spectrum.flags.writeable = False
     answer = value, f_values, spectrum, "optimal"
     _solved.put(key, answer)

@@ -112,9 +112,8 @@ class Group:
         return _layout(self.orders)[2]
 
     def coords_of(self, index) -> np.ndarray:
-        index = np.asarray(index, dtype=np.int64)
-        rem = index[..., None]
-        return (rem // self._strides) % np.asarray(self.orders, dtype=np.int64)
+        """Coordinates of each index, taken mod N, shape index.shape + (k,)."""
+        return self.coords[np.asarray(index, dtype=np.int64) % self.size]
 
     def index_of(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.int64) % np.asarray(self.orders, dtype=np.int64)
@@ -218,23 +217,6 @@ def dft(f: GroupFunction) -> np.ndarray:
     return f.group.weight * np.fft.fftn(f.values.reshape(f.group.orders)).ravel()
 
 
-def inverse_dft(group: Group, spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform f(x) = (1 / (N * weight)) * sum_k F[k] * chi_k(x); complex output."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.shape != (group.size,):
-        raise ValueError(f"spectrum has shape {spectrum.shape}, expected ({group.size},)")
-    return np.fft.ifftn(spectrum.reshape(group.orders)).ravel() / group.weight
-
-
-def real_spectrum(f: GroupFunction) -> np.ndarray:
-    """Spectrum with the imaginary part dropped; rejects an imaginary residue of 1e-9 or more."""
-    spec = dft(f)
-    residue = float(np.max(np.abs(spec.imag)))
-    if residue >= 1e-9:
-        raise ValueError(f"spectrum is not real: imaginary residue {residue:.3e} >= 1.0e-09")
-    return spec.real.copy()
-
-
 @dataclass
 class SymSet:
     """A 0-symmetric subset of a Group, held as a boolean mask.
@@ -304,6 +286,11 @@ def _as_indices(group: Group, s) -> np.ndarray:
             return np.flatnonzero(s)
         if np.issubdtype(s.dtype, np.integer) and s.ndim == 1:
             return np.asarray(s, dtype=np.int64) % group.size  # element indices
+    if type(s) is list and len(group.orders) == 1 and all(type(e) is int for e in s):
+        try:
+            return np.asarray(s, dtype=np.int64) % group.size  # plain ints, as element_index
+        except OverflowError:
+            pass  # beyond int64: reduced one by one below
     return np.asarray([group.element_index(e) for e in s], dtype=np.int64)
 
 

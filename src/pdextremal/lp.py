@@ -20,6 +20,18 @@ tolerances of the tightened re-solve are restored before ``solve`` returns.
 An optimal answer must pass ``check_certificate``, which recomputes the
 primal residual, the dual signs, dual feasibility and the duality gap from
 the original data.
+
+Where the time of a small LP goes, measured on the 2,463 LPs of two
+verify-many argv lists (median 5 rows x 8 columns), replayed in one process
+on a 2-CPU Intel Xeon VM.  HiGHS's own run (best of 7 per LP) takes 45 us at
+the least and 81 us at the median: that floor is HiGHS's.  The Python around
+it (medians of 9 interleaved repeats, before and after the bounds became one
+stacked pair checked with few numpy calls): ``LpProblem`` 24.7 -> 20.3 us,
+``_pass_model`` 17.4 -> 16.8 us (~13 us of it inside HiGHS's clearModel and
+passModel), ``check_certificate`` 42.5 -> 30.0 us; an ``LpProblem`` with its
+``solve``, 228 -> 192 us.  What remains is numpy's fixed cost per call on
+arrays of a few dozen entries (~0.4 us a ufunc, ~1 us a reduction), not
+arithmetic.
 """
 
 from __future__ import annotations
@@ -69,6 +81,7 @@ class QuadratureError(RuntimeError):
 # (infinite_bound, infinite_cost) and refuses a matrix entry of 1e15 or more
 # (large_matrix_value); LpProblem refuses all of them
 _HIGHS_INF, _MAX_ENTRY = 1e20, 1e15
+_OPEN = np.array([[-np.inf], [np.inf]])  # the infinite bound each side of a pair may have
 
 # check_certificate's tolerance on the residual, the dual signs and dual
 # feasibility, each relative to the size of the data it prices; the output
@@ -76,52 +89,53 @@ _HIGHS_INF, _MAX_ENTRY = 1e20, 1e15
 CERTIFICATE_TOL = 1e-9
 
 
-def _bounds(lo, hi, size: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """lo and hi as float arrays of shape (size,), checked to be a bound pair."""
-    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    if lo.shape != (size,) or hi.shape != (size,):
-        raise ValueError(f"{what} bounds have shapes {lo.shape} and {hi.shape}, "
-                         f"expected ({size},)")
-    # NaN fails every comparison; lower may be -inf and upper inf, nothing else huge
-    ok = ((lo <= hi) & ((np.abs(lo) < _HIGHS_INF) | (lo == -np.inf))
-          & ((np.abs(hi) < _HIGHS_INF) | (hi == np.inf)))
-    if not ok.all():
-        i = np.flatnonzero(~ok)[0]
-        raise ValueError(f"{what} {i} has bounds [{lo[i]}, {hi[i]}]: need lower <= upper, "
-                         "no NaN, lower < inf, upper > -inf, and each finite bound below "
-                         f"{_HIGHS_INF:g} in magnitude")
-    return lo, hi
-
-
 def _below(values: np.ndarray, limit: float, name: str) -> None:
     """Raise ValueError naming the first entry of values not below limit in magnitude."""
     ok = np.abs(values) < limit  # NaN and inf fail too
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         i = tuple(int(k) for k in np.argwhere(~ok)[0])
         raise ValueError(f"{name}{list(i)} = {values[i]}: must be finite and below {limit:g} "
                          "in magnitude")
 
 
-@dataclass
 class LpProblem:
-    c: np.ndarray
-    a: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-    lower: Optional[np.ndarray] = None  # default 0
-    upper: Optional[np.ndarray] = None  # default inf
+    """max c @ x subject to row_lower <= a @ x <= row_upper and lower <= x <= upper.
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=np.float64)
-        n = self.c.shape[0]
-        self.a = np.asarray(self.a, dtype=np.float64).reshape(-1, n) if n else \
-            np.zeros((len(self.row_lower), 0))
-        self.row_lower, self.row_upper = _bounds(self.row_lower, self.row_upper, self.nrows, "row")
-        self.lower, self.upper = _bounds(
-            np.zeros(n) if self.lower is None else self.lower,
-            np.full(n, np.inf) if self.upper is None else self.upper, n, "variable")
+    The bounds are kept as one stacked pair, ``lo = [row_lower, lower]`` and
+    ``hi = [row_upper, upper]``: the rows of one read-only array ``bounds``,
+    checked in one pass and priced in this order by ``check_certificate``.
+    ``row_lower``, ``row_upper``, ``lower`` (default 0) and ``upper`` (default
+    inf) are views of it, so none of them can disagree with the others.
+    """
+
+    def __init__(self, c, a, row_lower, row_upper, lower=None, upper=None):
+        self.c = c = np.asarray(c, dtype=np.float64)
+        n = c.shape[0]
+        self.a = np.asarray(a, dtype=np.float64).reshape(-1, n) if n else \
+            np.zeros((len(row_lower), 0))
+        m = self.a.shape[0]
+        parts = [np.asarray(b, dtype=np.float64) for b in (
+            row_lower, row_upper, np.zeros(n) if lower is None else lower,
+            np.full(n, np.inf) if upper is None else upper)]
+        for what, size, low, high in (("row", m, *parts[:2]), ("variable", n, *parts[2:])):
+            if low.shape != (size,) or high.shape != (size,):
+                raise ValueError(f"{what} bounds have shapes {low.shape} and {high.shape}, "
+                                 f"expected ({size},)")
+        self.bounds = bounds = np.empty((2, m + n))
+        bounds[0, :m], bounds[1, :m], bounds[0, m:], bounds[1, m:] = parts
+        bounds.flags.writeable = False
+        self.lo, self.hi = lo, hi = bounds[0], bounds[1]
+        # NaN fails every comparison; lower may be -inf and upper inf, nothing else huge
+        finite = (np.abs(bounds) < _HIGHS_INF) | (bounds == _OPEN)
+        ok = (lo <= hi) & finite[0] & finite[1]
+        if np.count_nonzero(ok) < ok.size:
+            i = int(np.argmin(ok))  # the first bound pair that fails
+            what, j = ("row", i) if i < m else ("variable", i - m)
+            raise ValueError(f"{what} {j} has bounds [{lo[i]}, {hi[i]}]: need lower <= upper, "
+                             "no NaN, lower < inf, upper > -inf, and each finite bound below "
+                             f"{_HIGHS_INF:g} in magnitude")
         _below(self.a, _MAX_ENTRY, "a")
-        _below(self.c, _HIGHS_INF, "c")
+        _below(c, _HIGHS_INF, "c")
 
     @property
     def nvars(self) -> int:
@@ -130,6 +144,12 @@ class LpProblem:
     @property
     def nrows(self) -> int:
         return self.a.shape[0]
+
+    # read-only views of the stacked pair
+    row_lower = property(lambda self: self.lo[:self.nrows])
+    row_upper = property(lambda self: self.hi[:self.nrows])
+    lower = property(lambda self: self.lo[self.nrows:])
+    upper = property(lambda self: self.hi[self.nrows:])
 
 
 @dataclass
@@ -154,28 +174,28 @@ def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple
     (max_violation, dual_objective); raises SolverFailure naming every check
     that fails.
     """
-    p = problem
-    m = p.nrows
-    ax = p.a @ x
-    residual = float(np.max(np.concatenate(  # NaN propagates
-        [ax - p.row_upper, p.row_lower - ax, p.lower - x, x - p.upper]), initial=0.0))
+    p, m = problem, problem.nrows
+    lo, hi = p.lo, p.hi
+    most = np.maximum.reduce  # np.max without its Python-level wrapper
+    ax = np.concatenate((p.a @ x, x))  # what lo and hi bound: the rows, then the columns
+    residual = float(most(np.concatenate((ax - hi, lo - ax)), initial=0.0))  # NaN propagates
     # rows then columns: the row duals and the reduced costs on their bounds
-    v = np.concatenate([y, p.c - p.a.T @ y])
-    lo, hi = np.concatenate([p.row_lower, p.lower]), np.concatenate([p.row_upper, p.upper])
+    v = np.concatenate((y, p.c - p.a.T @ y))
     up = v > 0
-    toward, other = np.where(up, hi, lo), np.where(up, lo, hi)
+    pair = np.where(up, p.bounds[::-1], p.bounds)  # hi where up, else lo; and the other
+    toward, other = pair[0], pair[1]
     open_ = np.isinf(toward)
     at = np.where(open_, np.where(np.isinf(other), 0.0, other), toward)
     off = np.where(open_, np.abs(v), 0.0)
-    sign_error = float(np.max(off[:m], initial=0.0))
-    dual_infeasibility = float(np.max(off[m:], initial=0.0))
+    sign_error = float(most(off[:m], initial=0.0))
+    dual_infeasibility = float(most(off[m:], initial=0.0))
     dual_objective = float(v[:m] @ at[:m]) + float(v[m:] @ at[m:])
     objective = float(p.c @ x)
     gap = abs(objective - dual_objective)
 
-    row_bounds = np.concatenate([p.row_lower, p.row_upper])
-    scale = float(np.max(np.abs(row_bounds[np.isfinite(row_bounds)]), initial=0.0))
-    dual_tol = CERTIFICATE_TOL * (1.0 + float(np.max(np.abs(p.c), initial=0.0)))
+    row_bounds = np.abs(p.bounds[:, :m])
+    scale = float(most(row_bounds, axis=None, where=row_bounds < np.inf, initial=0.0))
+    dual_tol = CERTIFICATE_TOL * (1.0 + float(most(np.abs(p.c), initial=0.0)))
     checks = (
         ("residual", residual, CERTIFICATE_TOL * (1.0 + scale)),
         ("dual sign", sign_error, dual_tol),
@@ -192,10 +212,12 @@ def _pass_model(h, p: LpProblem) -> None:
     """Replace the model on h with p, passed as arrays: the dense matrix row by
     row, the costs negated (HiGHS minimizes) and every column continuous."""
     m, n = p.nrows, p.nvars
+    # the dense pattern: row i starts at entry i * n, and entry k lies in column k % n
+    starts = np.arange(0, m * n, n, dtype=np.int32) if n else np.zeros(m, dtype=np.int32)
     h.clearModel()  # a model HiGHS rejects is not passed: the run then ends "Not Set"
-    h.passModel(n, m, m * n, _ROWWISE, _MINIMIZE, 0.0, -p.c, p.lower, p.upper, p.row_lower,
-                p.row_upper, np.arange(m, dtype=np.int32) * n,
-                np.tile(np.arange(n, dtype=np.int32), m), p.a.ravel(), np.zeros(n, dtype=np.int32))
+    h.passModel(n, m, m * n, _ROWWISE, _MINIMIZE, 0.0, -p.c, p.lo[m:], p.hi[m:], p.lo[:m],
+                p.hi[:m], starts, np.arange(m * n, dtype=np.int32) % n, p.a.ravel(),
+                np.zeros(n, dtype=np.int32))
 
 
 def _solver():

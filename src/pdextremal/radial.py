@@ -1,7 +1,7 @@
 """Radial Euclidean machinery: normalized Bessel functions, the Yudin bump
 Y_d with nonnegative compactly supported spectrum, the Gorbachev tail
-function H, Hankel (Fourier-Bessel) transforms, and the ball/sphere
-transforms.
+function H, Hankel (Fourier-Bessel) transforms, and the Fourier transform
+of the unit ball.
 
 The normalized Bessel function j_alpha(t) takes one of four paths: the
 two-term series below t = 1e-6; the closed forms cos t and sin t / t at
@@ -623,7 +623,7 @@ def yudin_hat_grid(d: int, s_values) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# ball and sphere transforms
+# the ball transform
 # --------------------------------------------------------------------------
 
 def ball_char_transform(d: int, x) -> np.ndarray | float:
@@ -632,14 +632,6 @@ def ball_char_transform(d: int, x) -> np.ndarray | float:
     if d < 1:
         raise ValueError("dimension must be a positive integer")
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * bessel_j(d / 2.0, x)
-
-
-def sphere_transform(d: int, s) -> np.ndarray | float:
-    """Fourier transform of the unit-sphere surface measure:
-    (2 pi^(d/2) / Gamma(d/2)) j_{d/2-1}(|s|)."""
-    if d < 2:
-        raise ValueError("sphere transform needs dimension >= 2")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * bessel_j(d / 2.0 - 1.0, s)
 
 
 # --------------------------------------------------------------------------

@@ -116,7 +116,9 @@ def test_outputs_match_the_manifest():
     assert not problems, "\n".join(problems)
 
 
-@pytest.mark.parametrize("suite", ["hom", "auto"])  # hom labels its classes off the identity
+# hom labels its classes off the identity; main and ineq take the identity labels, and
+# ineq the packing witness too
+@pytest.mark.parametrize("suite", ["hom", "auto", "main", "ineq"])
 def test_warm_memos_give_the_manifest_bytes(suite):
     argv = ["verify", suite, "--fuzz", "30", "--seed", "5"]
     expected = json.loads(MANIFEST.read_text())["outputs"][shlex.join(argv)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 
 from pdextremal.density import (
     PeriodicSet,
+    _conflicts,
+    _packing_set,
     auud_finite,
     auud_periodic,
     covers,
@@ -182,3 +185,32 @@ def test_search_rejects_bad_input():
         max_density_search([0], 10)
     with pytest.raises(ValueError):
         max_density_search([1], 25)
+
+
+def _symmetric_masks(rng, group, count):
+    """count random 0-symmetric masks on group that contain 0."""
+    for _ in range(count):
+        mask = rng.random(group.size) < rng.uniform(0.2, 0.8)
+        mask[0] = True
+        yield mask & mask[group.neg]
+
+
+@pytest.mark.parametrize("orders", [[1], [2], [7], [12], [40], [600], [2, 3], [4, 4], [3, 5]])
+def test_conflict_rows_match_the_element_by_element_construction(orders):
+    g, rng = make_group(orders), np.random.default_rng(len(orders) * 1000 + orders[-1])
+    idx = np.arange(g.size)
+    for allowed in _symmetric_masks(rng, g, 3):  # [600] takes two blocks of differences
+        expect = [int.from_bytes(np.packbits(~allowed[g.sub_index(x, idx)],
+                                             bitorder="little").tobytes(), "little")
+                  for x in range(g.size)]
+        assert _conflicts(g, allowed) == expect
+
+
+@pytest.mark.parametrize("orders", [[5], [8], [11], [12], [2, 4], [3, 3], [2, 5]])
+def test_packing_set_is_the_least_largest_set(orders):
+    g, rng = make_group(orders), np.random.default_rng(orders[-1] * 10 + len(orders))
+    for allowed in _symmetric_masks(rng, g, 4):
+        fits = [a for k in range(g.size + 1) for a in itertools.combinations(range(g.size), k)
+                if all(allowed[g.sub_index(x, y)] for x in a for y in a)]
+        size = max(len(a) for a in fits)
+        assert _packing_set(g, allowed) == list(min(a for a in fits if len(a) == size))

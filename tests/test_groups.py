@@ -14,10 +14,14 @@ from pdextremal.groups import (
     difference_counts,
     difference_mask,
     difference_set,
-    inverse_dft,
     make_group,
-    real_spectrum,
 )
+
+
+def inverse_dft(group, spectrum):
+    """Oracle inverse of dft: f(x) = (1 / (N * weight)) * sum_k F[k] * chi_k(x), complex."""
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    return np.fft.ifftn(spectrum.reshape(group.orders)).ravel() / group.weight
 
 
 def test_make_group_examples():
@@ -116,14 +120,6 @@ def test_symmetric_real_function_has_real_spectrum():
         f = GroupFunction(g, v)
         spec = dft(f)
         assert np.max(np.abs(spec.imag)) < 1e-12 * max(1.0, np.max(np.abs(spec)))
-        assert np.allclose(real_spectrum(f), spec.real)
-
-
-def test_real_spectrum_rejects_asymmetric():
-    g = make_group([5], "counting")
-    f = GroupFunction(g, [0, 1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        real_spectrum(f)
 
 
 def test_difference_set_examples():
@@ -225,3 +221,38 @@ def test_equal_orders_share_one_read_only_layout():
     mask[[0, g.element_index((0, 1))]] = True  # (0, 5) = -(0, 1) missing
     s = SymSet(h, mask)
     assert s.symmetrized and s.elements() == [(0, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    orders=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3),
+    index=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=12),
+)
+def test_coords_of_is_the_division_formula(orders, index):
+    g = make_group(orders)
+    index = np.asarray(index + [0, g.size - 1, g.size, -1, -g.size], dtype=np.int64)
+    strides = np.asarray([int(np.prod(orders[j + 1:])) for j in range(len(orders))])
+    expect = (index[..., None] // strides) % np.asarray(orders)  # each coordinate from its stride
+    assert np.array_equal(g.coords_of(index), expect)
+    assert np.array_equal(g.coords_of(index.reshape(-1, 1)), expect.reshape(-1, 1, len(orders)))
+    assert g.coords_of(int(index[0])).tolist() == expect[0].tolist()
+
+
+def test_plain_int_lists_take_one_conversion_with_element_index_results():
+    g = make_group([7])
+    for elements in ([], [0, 3, -1, 13, 3], [2**70, -(2**70) - 1], [True, 2]):
+        expect = [g.element_index(e) for e in elements]
+        assert groups._as_indices(g, elements).tolist() == expect
+    assert groups._as_indices(g, [2**70]).dtype == np.int64
+
+
+@pytest.mark.parametrize("orders, elements, match", [
+    ([6], [1.5], r"element 1\.5 does not match rank 1"),
+    ([6], [1, (1, 2)], r"element \(1, 2\) does not match rank 1"),
+    ([2, 3], [1], "bare integer element only valid for a single cyclic factor"),
+    ([2, 3], [(0, 1), 4], "bare integer element only valid for a single cyclic factor"),
+    ([2, 3], [(0, 1, 2)], r"element \(0, 1, 2\) does not match rank 2"),
+])
+def test_other_element_lists_keep_their_errors(orders, elements, match):
+    with pytest.raises(ValueError, match=match):
+        groups._as_indices(make_group(orders), elements)

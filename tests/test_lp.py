@@ -363,6 +363,35 @@ def test_bounds_are_validated(rows, columns):
         LpProblem([1], [[1]], *rows, *columns)
 
 
+def test_bounds_are_read_only_views_of_the_stacked_pair():
+    p = LpProblem([1, 2], [[1, 0], [0, 1], [1, 1]], [-INF, 0, 1], [4, INF, 5], [-1, 0], [2, INF])
+    assert p.lo.tolist() == [-INF, 0, 1, -1, 0] and p.hi.tolist() == [4, INF, 5, 2, INF]
+    assert np.array_equal(p.bounds, [p.lo, p.hi])
+    views = {"row_lower": p.lo[:3], "row_upper": p.hi[:3], "lower": p.lo[3:], "upper": p.hi[3:]}
+    for name, expect in views.items():
+        view = getattr(p, name)
+        assert np.array_equal(view, expect) and np.shares_memory(view, p.bounds), name
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 3.0
+        with pytest.raises(AttributeError):
+            setattr(p, name, expect)
+    default = LpProblem([1], [[1]], [0], [1])
+    assert default.lower.tolist() == [0.0] and default.upper.tolist() == [INF]
+    assert (default.nrows, default.nvars) == (1, 1)
+
+
+@pytest.mark.parametrize("rows, columns, match", [
+    (([0, 2, 0], [1, 1, 1]), ([0, 0], [INF, INF]), r"^row 1 has bounds \[2\.0, 1\.0\]"),
+    (([0, 0, 0], [1, 1, np.nan]), ([0, 0], [INF, INF]), r"^row 2 has bounds \[0\.0, nan\]"),
+    (([0, 0, 0], [1, 1, 1]), ([0, INF], [INF, INF]), r"^variable 1 has bounds \[inf, inf\]"),
+    (([0, 0, 0], [1, 1, 1]), ([-1e20, 0], [INF, INF]), r"^variable 0 has bounds \[-1e\+20, inf\]"),
+    (([0, 0, 1e21], [1, 1, 1]), ([0, 0], [INF, -1]), r"^row 2 has bounds \[1e\+21, 1\.0\]"),
+])
+def test_a_bad_bound_names_its_row_or_variable(rows, columns, match):
+    with pytest.raises(ValueError, match=match):
+        LpProblem([1, 1], np.ones((3, 2)), *rows, *columns)
+
+
 @pytest.mark.parametrize("rows, columns", [
     (([-INF], [1e25]), ([0], [INF])),  # HiGHS would answer this bounded LP "unbounded"
     (([-1e20], [1]), ([0], [INF])),
@@ -553,9 +582,19 @@ def _z12_sets():
 
 # The memo tests run on both memos of extremal: the answers (_solved) and the
 # class tables (_built).  The other memo keeps nothing, so that every call
-# reaches the memo under test.
+# reaches the memo under test.  A class table is kept from the second request
+# of its key on, the first recording the key alone, so the tables case asks
+# for each LP twice.
 MEMOS = pytest.mark.parametrize("name", ["_solved", "_built"], ids=["answers", "tables"])
 _CHARGE = {"_solved": _entry_bytes, "_built": _table_bytes}
+_ASKS = {"_solved": 1, "_built": 2}
+
+
+def _ask(name, lp):
+    """two_set_constant on lp, as often as the memo under test needs to keep it."""
+    for _ in range(_ASKS[name]):
+        result = two_set_constant(*lp)
+    return result
 
 
 def _use_memo(monkeypatch, name, budget):
@@ -584,7 +623,7 @@ def test_memo_keeps_within_its_budget_and_drops_the_oldest(monkeypatch, name):
     memo = _use_memo(monkeypatch, name, 10 * entry + entry // 2)
     lps, keys = _lps(name, 30), []
     for lp in lps:
-        assert two_set_constant(*lp).status == "optimal"
+        assert _ask(name, lp).status == "optimal"
         keys.append(next(reversed(memo.entries)))
         assert memo.nbytes <= memo.budget
     assert list(memo.entries) == keys[-10:] and memo.nbytes == 10 * entry
@@ -592,21 +631,39 @@ def test_memo_keeps_within_its_budget_and_drops_the_oldest(monkeypatch, name):
 
     two_set_constant(*lps[29])  # kept, so not built again
     assert all(a is b for a, b in zip(memo.entries.values(), held, strict=True))
-    two_set_constant(*lps[0])  # dropped, so built again, and the oldest goes
+    _ask(name, lps[0])  # dropped, so built again, and the oldest goes
     assert list(memo.entries) == keys[21:] + keys[:1] and memo.nbytes == 10 * entry
 
 
 @MEMOS
 def test_entry_larger_than_the_budget_is_not_remembered(monkeypatch, name):
-    memo = _use_memo(monkeypatch, name, _CHARGE[name](12) + 100)
+    # room for one entry of Z_12 and, for the tables, the record of another key
+    record = {"_solved": 0, "_built": extremal._ENTRY_BYTES}[name]
+    memo = _use_memo(monkeypatch, name, _CHARGE[name](12) + record + 100)
     g, sets = _z12_sets()
-    two_set_constant(g, sets[0], SymSet.full(g))
+    _ask(name, (g, sets[0], SymSet.full(g)))
     (kept,) = memo.entries.values()
     h = make_group([24], "probability")  # an entry of _CHARGE[name](24) > budget bytes
-    assert two_set_constant(h, SymSet.from_elements(h, [0, 1, 23]), SymSet.full(h)).status == \
+    assert _ask(name, (h, SymSet.from_elements(h, [0, 1, 23]), SymSet.full(h))).status == \
         "optimal"
-    (held,) = memo.entries.values()
-    assert held is kept and memo.nbytes == _CHARGE[name](12)  # nothing dropped
+    (held,) = [entry for entry in memo.entries.values() if entry]  # not the records
+    assert held is kept and memo.nbytes == _CHARGE[name](12) + record  # nothing dropped
+
+
+def test_class_table_is_kept_from_the_second_request_of_its_key(monkeypatch):
+    memo = _use_memo(monkeypatch, "_built", extremal._MEMO_BYTES)
+    g, sets = _z12_sets()
+    lp = (g, sets[0], SymSet.full(g))
+    first = two_set_constant(*lp)
+    assert list(memo.entries.values()) == [()]  # the key alone, charged like any entry
+    assert memo.nbytes == extremal._ENTRY_BYTES
+    assert _answer_bytes(extremal._solve(g, lp[1].mask, lp[2].mask)) == \
+        _answer_bytes((first.value, first.optimizer.values, first.spectrum, first.status))
+    (tables,) = memo.entries.values()
+    assert len(tables) == 5 and tables[4] == 12 and memo.nbytes == _table_bytes(12)
+    two_set_constant(*lp)
+    (again,) = memo.entries.values()
+    assert again is tables and memo.nbytes == _table_bytes(12)
 
 
 @MEMOS
@@ -620,8 +677,9 @@ def test_memo_budget_bounds_its_memory(monkeypatch, name):
     try:
         before = tracemalloc.get_traced_memory()[0]
         for k in range(5000):  # the smallest entries, on Z_1, as extremal makes them
-            if name == "_built":  # each under labels of its own
-                extremal._tables(g, (k.to_bytes(8, "little"), None), idx, idx)
+            if name == "_built":  # each under labels of its own, asked twice to be kept
+                for _ in range(2):
+                    extremal._tables(g, (k.to_bytes(8, "little"), None), idx, idx)
                 continue
             orders, weight = tuple([1]), 1.0 + k / 5000  # a new group's own objects
             inside = np.ones(1, dtype=bool)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pdextremal.groups import GroupFunction, dft, inverse_dft, make_group
-from pdextremal.posdef import autocorrelation, is_posdef, periodize, schur_product
+from pdextremal.groups import GroupFunction, dft, make_group
+from pdextremal.posdef import autocorrelation, is_posdef
 
 
 def random_symmetric(group, rng, scale=1.0):
@@ -14,7 +14,9 @@ def random_posdef(group, rng, floor=1e-3):
     """Real symmetric posdef function via a nonnegative conjugation-symmetric spectrum."""
     spec = rng.uniform(floor, 1.0, size=group.size)
     spec = (spec + spec[group.neg]) / 2.0
-    return GroupFunction(group, inverse_dft(group, spec).real)
+    # the inverse of dft: f(x) = (1 / (N * weight)) * sum_k spec[k] * chi_k(x)
+    values = np.fft.ifftn(spec.reshape(group.orders)).ravel() / group.weight
+    return GroupFunction(group, values.real)
 
 
 def test_is_posdef_examples():
@@ -97,27 +99,15 @@ def test_autocorrelation_empty_rejected():
         autocorrelation([], make_group([4]))
 
 
+# Schur's product theorem: a pointwise product of positive definite functions
+# is positive definite
+
 def test_schur_product_characters():
     g = make_group([8], "counting")
     x = np.arange(8)
-    f = GroupFunction(g, np.cos(2 * np.pi * x / 8))
-    h = GroupFunction(g, np.cos(2 * np.pi * 3 * x / 8))
-    assert is_posdef(schur_product(f, h), tol=1e-12)
-
-
-def test_schur_identity():
-    g = make_group([6])
-    rng = np.random.default_rng(2)
-    f = random_posdef(g, rng)
-    out = schur_product(f, GroupFunction(g, np.ones(6)))
-    assert np.allclose(out.values, f.values)
-
-
-def test_schur_group_mismatch():
-    f = GroupFunction(make_group([4]), np.ones(4))
-    h = GroupFunction(make_group([5]), np.ones(5))
-    with pytest.raises(ValueError):
-        schur_product(f, h)
+    f = np.cos(2 * np.pi * x / 8)
+    h = np.cos(2 * np.pi * 3 * x / 8)
+    assert is_posdef(GroupFunction(g, f * h), tol=1e-12)
 
 
 def test_schur_closure_200_random_pairs():
@@ -126,44 +116,4 @@ def test_schur_closure_200_random_pairs():
         g = make_group([int(rng.integers(2, 17))], "counting")
         f, h = random_posdef(g, rng), random_posdef(g, rng)
         assert is_posdef(f, tol=0.0) and is_posdef(h, tol=0.0)
-        assert is_posdef(schur_product(f, h), tol=1e-9)
-
-
-def test_periodize_single_translate():
-    g = make_group([7])
-    rng = np.random.default_rng(0)
-    f = random_symmetric(g, rng)
-    assert np.allclose(periodize(f, [0]).values, f.values)
-
-
-def test_periodize_delta():
-    g = make_group([6], "counting")
-    f = GroupFunction(g, [1, 0, 0, 0, 0, 0])
-    phi = periodize(f, [0, 3])
-    assert np.allclose(phi.values, [2, 0, 0, 2, 0, 0])
-
-
-def test_periodize_value_at_zero_bound():
-    # direct evaluation oracle for Phi(0) = M f(0) + sum over distinct pairs
-    g = make_group([6], "counting")
-    f = GroupFunction(g, [1.0, 0.0, -0.3, 0.2, -0.3, 0.0])
-    lam = [0, 2, 4]
-    phi = periodize(f, lam)
-    direct = sum(f.values[int(g.sub_index(a, b))] for a in lam for b in lam)
-    assert phi.values[0] == pytest.approx(direct)
-    assert phi.values[0] <= 3.0  # f <= 0 on the nonzero differences of Lambda
-
-
-def test_periodize_invariants():
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        g = make_group([int(rng.integers(2, 13))], float(rng.uniform(0.2, 2.0)))
-        f = random_posdef(g, rng)
-        size = int(rng.integers(1, g.size + 1))
-        lam = rng.permutation(g.size)[:size]
-        phi = periodize(f, lam)
-        assert is_posdef(phi, tol=1e-9)
-        expect = (size**2) * f.haar_sum()
-        assert abs(phi.haar_sum() - expect) <= 1e-10 * max(1.0, abs(expect))
-    with pytest.raises(ValueError):
-        periodize(f, [])
+        assert is_posdef(GroupFunction(g, f.values * h.values), tol=1e-9)

@@ -16,7 +16,6 @@ from pdextremal.radial import (
     gorbachev_H_report,
     gorbachev_tail_model,
     hankel_grid,
-    sphere_transform,
     yudin_Y,
     yudin_hat_grid,
     yudin_sign_check,
@@ -271,20 +270,12 @@ def test_yudin_sign_property():
     assert yudin_sign_check(2, np.asarray([0.0]))["pass"]
 
 
-# -- ball and sphere transforms -------------------------------------------------
+# -- the ball transform ---------------------------------------------------------
 
 def test_ball_transform_values():
     assert ball_char_transform(1, 1e-13) == pytest.approx(2.0, abs=1e-12)
     assert ball_char_transform(2, 0.0) == pytest.approx(math.pi, abs=1e-14)
     assert ball_char_transform(1, math.pi) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_sphere_transform_values():
-    assert sphere_transform(2, 0.0) == pytest.approx(2 * math.pi, abs=1e-12)
-    assert sphere_transform(3, 0.0) == pytest.approx(4 * math.pi, abs=1e-12)
-    assert sphere_transform(3, math.pi) == pytest.approx(0.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        sphere_transform(1, 0.0)
 
 
 def direct_ball_ft_1d(s: float) -> float:
