@@ -2,9 +2,9 @@
 trinomial runs and density searches, with machine-readable JSON output.
 
 Exit codes: 0 success/pass, 1 usage, input or output error, 2 verification
-failure, 3 solver or quadrature failure.  Every JSON object carries
-artifact_version, seed and the tolerances in force, and identical argv + seed
-produce byte-identical output.
+failure, 3 solver, quadrature or float overflow failure.  Every JSON object
+carries artifact_version, seed and the tolerances in force, and identical
+argv + seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _cmd_constant(args) -> int:
         "omega_plus": omega_plus.elements(),
         "value": res.value,
         "status": res.status,
-        "optimizer": res.optimizer.values if res.optimizer is not None else None,
+        "optimizer": res.optimizer.values,
         "spectrum": res.spectrum,
     }
     _emit("constant", result, warnings=warnings)
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except (NotAStrictTiling, ConditionViolated) as exc:
         print(f"verification precondition failed: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, QuadratureError) as exc:
+    except (SolverFailure, QuadratureError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import (_CHUNK, Group, SymSet, _as_indices, difference_counts, difference_mask,
-                     make_group)
+from .groups import (Group, SymSet, _as_indices, _row_blocks, difference_counts,
+                     difference_mask, make_group)
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,12 @@ def integer_shadow(intervals: Sequence[Sequence[float]], closed: bool = False) -
 def _conflicts(group: Group, allowed: np.ndarray) -> list[int]:
     """conflict[x] with bit y set when x - y is outside the mask allowed.
 
-    The differences are taken in blocks of at most _CHUNK, one block up to
-    N = 512, and each block's rows packed to bits at once.
+    The differences are taken in blocks of rows (``groups._row_blocks``), one
+    block up to N = 512, and each block's rows packed to bits at once.
     """
-    n, conflict = group.size, []
-    idx, step = np.arange(n), max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        diffs = group.sub_index(idx[start:start + step, None], idx)
+    idx, conflict = np.arange(group.size), []
+    for rows in _row_blocks(idx, group.size):
+        diffs = group.sub_index(rows[:, None], idx)
         bits = np.packbits(~allowed[diffs], axis=1, bitorder="little")
         conflict += [int.from_bytes(row.tobytes(), "little") for row in bits]
     return conflict

@@ -47,11 +47,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .groups import Group, GroupFunction, SymSet, _as_indices, difference_mask, difference_set
+from .groups import (Group, GroupFunction, SymSet, _as_indices, _row_blocks, difference_mask,
+                     difference_set)
 from .lp import LpProblem, SolverFailure, solve
 from . import density as density_mod
 
@@ -113,8 +113,8 @@ _built = _Memo()  # the process's class tables of _solve, by group orders and la
 @dataclass
 class ExtremalResult:
     value: float
-    optimizer: Optional[GroupFunction]
-    spectrum: Optional[np.ndarray]
+    optimizer: GroupFunction
+    spectrum: np.ndarray
     status: str  # optimal | infeasible-zero
 
 
@@ -302,10 +302,12 @@ def verify_homomorphism_bound(group: Group, k_subgroup, omega_plus: SymSet,
     plus, minus = omega_plus.mask, omega_minus.mask
     idx, k = np.arange(group.size), np.flatnonzero(k_mask)
 
-    annihilator = ~group.char_phases(idx, k).any(axis=1)  # K^perp, exactly
+    annihilator = np.concatenate([~group.char_phases(rows, k).any(axis=1)
+                                  for rows in _row_blocks(idx, len(k))])  # K^perp, exactly
 
-    def cosets(sub):  # the least index of x + sub, for every x
-        return group.add_index(idx[:, None], sub[None, :]).min(axis=1)
+    def cosets(sub):  # the least index of x + sub = x - (-sub), for every x
+        return np.concatenate([group.sub_index(rows[:, None], group.neg[sub]).min(axis=1)
+                               for rows in _row_blocks(idx, len(sub))])
 
     value_g, *_ = _solve(group, plus, minus)
     # K^ = G^/K^perp: characters label their coset of K^perp; elements off K drop out

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 ElementLike = Union[int, Sequence[int]]
 
-_CHUNK = 1 << 18  # cap on index-matrix entries per difference_counts block
+_CHUNK = 1 << 18  # cap on the entries of one block of an index table (_row_blocks)
 
 # largest group read from JSON: the extremal LP is a dense (N/2) x (N/2) real
 # block (32 MiB here), and its time grows faster than N^2 (Delsarte with
@@ -130,12 +130,6 @@ class Group:
             raise ValueError(f"element {elem!r} does not match rank {len(self.orders)}")
         return int(self.index_of(coords))
 
-    def add_index(self, a, b) -> np.ndarray:
-        """Index arithmetic for x + y (broadcasting over index arrays)."""
-        ca = self.coords_of(np.asarray(a))
-        cb = self.coords_of(np.asarray(b))
-        return self.index_of(ca + cb)
-
     def sub_index(self, a, b) -> np.ndarray:
         ca = self.coords_of(np.asarray(a))
         cb = self.coords_of(np.asarray(b))
@@ -206,10 +200,6 @@ class GroupFunction:
         if v.shape != (self.group.size,):
             raise ValueError(f"value vector has shape {v.shape}, expected ({self.group.size},)")
         self.values = v
-
-    def haar_sum(self) -> float:
-        """The Haar integral weight * sum(values)."""
-        return float(self.group.weight * self.values.sum())
 
 
 def dft(f: GroupFunction) -> np.ndarray:
@@ -294,6 +284,12 @@ def _as_indices(group: Group, s) -> np.ndarray:
     return np.asarray([group.element_index(e) for e in s], dtype=np.int64)
 
 
+def _row_blocks(rows: np.ndarray, columns: int) -> Iterator[np.ndarray]:
+    """The rows of a rows x columns index table, in blocks of at most _CHUNK entries or one row."""
+    step = max(1, _CHUNK // max(1, columns))
+    return (rows[start:start + step] for start in range(0, len(rows), step))
+
+
 def difference_counts(group: Group, a, b) -> np.ndarray:
     """counts[z] = #{(x, y) in a x b : x - y = z}, exact int64.
 
@@ -303,10 +299,8 @@ def difference_counts(group: Group, a, b) -> np.ndarray:
     ai = _as_indices(group, a)
     bi = _as_indices(group, b)
     counts = np.zeros(group.size, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(bi)))
-    for start in range(0, len(ai), step):
-        d = group.sub_index(ai[start : start + step, None], bi[None, :])
-        counts += np.bincount(d.ravel(), minlength=group.size)
+    for rows in _row_blocks(ai, len(bi)):
+        counts += np.bincount(group.sub_index(rows[:, None], bi).ravel(), minlength=group.size)
     return counts
 
 

@@ -16,7 +16,7 @@ the 44 large constants, with the same 7,246 pivots and bit-identical
 answers, and 1.33 s against 0.92 s on 4,520 verify LPs, with objectives
 within 3.6e-15.  There is one HiGHS object per process: its options are set
 once, at the first ``solve``, and each LP replaces the model on it; the
-tolerances of the tightened re-solve are restored before ``solve`` returns.
+options of ``solve``'s two retries are restored before it returns.
 An optimal answer must pass ``check_certificate``, which recomputes the
 primal residual, the dual signs, dual feasibility and the duality gap from
 the original data.
@@ -49,7 +49,7 @@ from ._scipy import extension
 # call, which would cost about as much as the thousands of tiny LPs of a
 # verification suite (median 4 rows x 6 columns) themselves.  Here there is one
 # HiGHS object per process, options set once, the model replaced per LP, and
-# the tolerances restored after the tightened re-solve.
+# the options of a retry restored after it.
 highs = extension("scipy.optimize._highspy._core")
 
 _HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1,  # dual
@@ -104,8 +104,8 @@ class LpProblem:
     The bounds are kept as one stacked pair, ``lo = [row_lower, lower]`` and
     ``hi = [row_upper, upper]``: the rows of one read-only array ``bounds``,
     checked in one pass and priced in this order by ``check_certificate``.
-    ``row_lower``, ``row_upper``, ``lower`` (default 0) and ``upper`` (default
-    inf) are views of it, so none of them can disagree with the others.
+    ``lower`` defaults to 0 and ``upper`` to inf; the first ``nrows`` entries
+    of ``lo`` and ``hi`` bound the rows and the other ``nvars`` the variables.
     """
 
     def __init__(self, c, a, row_lower, row_upper, lower=None, upper=None):
@@ -144,12 +144,6 @@ class LpProblem:
     @property
     def nrows(self) -> int:
         return self.a.shape[0]
-
-    # read-only views of the stacked pair
-    row_lower = property(lambda self: self.lo[:self.nrows])
-    row_upper = property(lambda self: self.hi[:self.nrows])
-    lower = property(lambda self: self.lo[self.nrows:])
-    upper = property(lambda self: self.hi[self.nrows:])
 
 
 @dataclass
@@ -235,9 +229,10 @@ def solve(problem: LpProblem) -> LpSolution:
 
     HiGHS accepts a primal residual within its own feasibility tolerance
     (1e-7), looser than the certificate's 1e-9.  An answer that fails the
-    certificate is therefore re-solved once from its basis with both
-    feasibility tolerances at 1e-10 before the failure is reported; they are
-    back at 1e-7 when solve returns or raises.
+    certificate is therefore re-solved from its basis with both feasibility
+    tolerances at 1e-10, then, if it fails again, afresh by the primal simplex
+    (the rescue of Delsarte LPs on Z_512 and Z_2048) before the failure is
+    reported; the options are back at _HIGHS_OPTIONS when solve ends.
     """
     h = _solver()
     _pass_model(h, problem)
@@ -246,12 +241,21 @@ def solve(problem: LpProblem) -> LpSolution:
         return _certified(problem, first)
     except SolverFailure:
         pass  # solved again below at tighter tolerances
-    for name in _TOLERANCES:
-        h.setOptionValue(name, 1e-10)
     try:
-        return _certified(problem, _answer(h, problem, first.iterations))
-    finally:
         for name in _TOLERANCES:
+            h.setOptionValue(name, 1e-10)
+        tight = _answer(h, problem, first.iterations)
+        try:
+            return _certified(problem, tight)
+        except SolverFailure:
+            pass  # solved afresh below by the primal simplex
+        for name in _TOLERANCES:
+            h.setOptionValue(name, _HIGHS_OPTIONS[name])
+        h.clearSolver()  # drop the failed basis
+        h.setOptionValue("simplex_strategy", 4)  # primal
+        return _certified(problem, _answer(h, problem, tight.iterations))
+    finally:
+        for name in (*_TOLERANCES, "simplex_strategy"):
             h.setOptionValue(name, _HIGHS_OPTIONS[name])
 
 

@@ -25,13 +25,13 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import jv
 
 from ._scipy import extension
 from .lp import QuadratureError
 
-# brentq's compiled entry point, without scipy/optimize/__init__.py
+# brentq and jv, compiled, without scipy.optimize's or scipy.special's __init__.py
 _zeros = extension("scipy.optimize._zeros")
+jv = extension("scipy.special._special_ufuncs").jv
 
 TWO_PI = 2.0 * math.pi
 

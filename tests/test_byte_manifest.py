@@ -129,6 +129,24 @@ def test_warm_memos_give_the_manifest_bytes(suite):
     assert outcome(argv, (answers, tables)) == expected  # every LP from a warm answer
 
 
+# Delsarte's LP on Z_512 with Omega+ = {0, 7, -7}: its answer passes the
+# certificate only from the primal simplex that solve runs after the
+# tightened re-solve
+Z512_ARGV = ["constant", "--group", _group(512), "--omega-plus", "[0,7,505]",
+             "--kind", "delsarte"]
+
+
+def test_argv_after_a_primal_simplex_rescue_give_the_manifest_bytes(monkeypatch, capsys):
+    expected = json.loads(MANIFEST.read_text())["outputs"]
+    monkeypatch.setattr(extremal, "_solved", extremal._Memo())
+    monkeypatch.setattr(extremal, "_built", extremal._Memo())
+    assert cli.main(Z512_ARGV) == 0
+    assert abs(json.loads(capsys.readouterr().out)["result"]["value"] - 2 / 512) <= 1e-12
+    after = [a for a in ARGVS if a[:1] in (["constant"], ["verify"])]
+    assert len(after) == 16
+    assert [outcome(a) for a in after] == [expected[shlex.join(a)] for a in after]
+
+
 def test_in_process_bytes_are_the_command_line_bytes():
     argv = ARGVS[1]
     run = subprocess.run([sys.executable, "-m", "pdextremal.cli", *argv], capture_output=True,

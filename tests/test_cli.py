@@ -370,6 +370,15 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
     assert cli.main(["radial", "hankel", "--d", "1", "--s-max", "1", "--step", "0.5"]) == 3
 
 
+@pytest.mark.parametrize("s_max", ["1e100", "1e160", "1e300"])
+def test_overflow_exits_three_without_traceback(capsys, s_max):
+    # the tail model's t**rho overflows a float at these grid points
+    code = cli.main(["radial", "hankel", "--d", "2", "--s-max", s_max, "--step", s_max])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and "out of range" in captured.err
+
+
 def test_verify_honours_smallest_max_n(capsys):
     code, out = run(capsys, ["verify", "tile", "--fuzz", "5", "--max-n", "2"])
     assert code == 0
@@ -631,13 +640,15 @@ after_package = [m for m in HEAVY if m in sys.modules]
 unresolved = [name for name in pdextremal.__all__ if getattr(pdextremal, name, None) is None]
 star = {}
 exec("from pdextremal import *", star)
+after_star = [m for m in HEAVY if m in sys.modules]  # every name resolved, radial's too
 try:
     pdextremal.no_such_name
     unknown = "resolved"
 except AttributeError as exc:
     unknown = str(exc)
 print(json.dumps({"after_cli": after_cli, "after_package": after_package,
-                  "unresolved": unresolved, "star": sorted(set(star) - {"__builtins__"}),
+                  "after_star": after_star, "unresolved": unresolved,
+                  "star": sorted(set(star) - {"__builtins__"}),
                   "all": sorted(pdextremal.__all__), "unknown": unknown}))
 """
 
@@ -650,6 +661,8 @@ def test_cli_import_loads_no_scipy_optimize():
     report = json.loads(done.stdout)
     assert report["after_cli"] == []
     assert report["after_package"] == []
+    # radial and trinomial load their compiled scipy modules alone
+    assert report["after_star"] == ["pdextremal.radial", "pdextremal.trinomial"]
     assert report["unresolved"] == []
     assert report["star"] == report["all"]
     assert report["unknown"] == "module 'pdextremal' has no attribute 'no_such_name'"

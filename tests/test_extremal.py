@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pdextremal import extremal
+from pdextremal import extremal, groups
 from pdextremal.extremal import (
     ConditionViolated,
     NotAStrictTiling,
@@ -17,7 +18,7 @@ from pdextremal.extremal import (
     verify_product_bound,
     verify_tile_theorem,
 )
-from pdextremal.fuzz import SplitMix64, hom_instance, symmetric_mask
+from pdextremal.fuzz import SplitMix64, hom_instance, run_hom_suite, symmetric_mask
 from pdextremal.groups import SymSet, difference_set, make_group
 from pdextremal.posdef import autocorrelation, is_posdef
 
@@ -453,3 +454,72 @@ def test_homomorphism_constants_at_size_565():
     direct = two_set_constant(z5, SymSet(z5, inst["omega_plus"].mask[inst["k"]]),
                               SymSet(z5, inst["omega_minus"].mask[inst["k"]]))
     assert rep["subgroup_constant"] == pytest.approx(direct.value, abs=1e-12)
+
+
+# subgroups K, as element lists, whose quotient-bound tables are checked in blocks
+BLOCKED_CASES = [
+    ((4, 6), [(0, 0), (2, 3)]),
+    ((12,), [0, 4, 8]),
+    ((6, 6, 2), [(a, b, c) for a in (0, 3) for b in (0, 2, 4) for c in (0, 1)]),
+]
+
+
+def _cosets_from_coordinates(g, sub):
+    """The least index of x + s over s in sub, for every x, added coordinatewise."""
+    return np.array([min(int(g.index_of(g.coords[x] + g.coords[s])) for s in sub)
+                     for x in range(g.size)])
+
+
+def _annihilator_from_coordinates(g, k):
+    """chi_x annihilates K when sum_j x_j y_j / n_j is an integer for every y in K."""
+    return np.array([all(sum(Fraction(int(a * b), n) for a, b, n in
+                             zip(g.coords[x], g.coords[y], g.orders)).denominator == 1
+                         for y in k)
+                     for x in range(g.size)])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, None])
+def test_quotient_bound_labels_match_coordinates_in_blocks_of_any_size(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(groups, "_CHUNK", chunk)
+    labels, solve = [], extremal._solve
+
+    def spy(group, plus, minus, chars=None, elems=None):
+        labels.append((chars, elems))
+        return solve(group, plus, minus, chars, elems)
+
+    monkeypatch.setattr(extremal, "_solve", spy)
+    rng = SplitMix64(17)
+    for orders, k in BLOCKED_CASES:
+        g = make_group(list(orders), "counting")
+        op = SymSet(g, symmetric_mask(rng, g, include_zero=True))
+        om = SymSet(g, symmetric_mask(rng, g, include_zero=rng.chance(1, 2)))
+        labels.clear()
+        verify_homomorphism_bound(g, k, op, om)
+        (_, _), (chars_k, elems_k), (chars_q, elems_q) = labels  # C_G, C_K, C_{G/K}
+        idx, in_k = np.arange(g.size), np.array([g.element_index(y) for y in k])
+        annihilator = _annihilator_from_coordinates(g, in_k)
+        assert annihilator.sum() * len(k) == g.size  # #K^perp = #(G/K)
+        assert np.array_equal(chars_k, _cosets_from_coordinates(g, idx[annihilator]))
+        assert np.array_equal(elems_k, np.where(np.isin(idx, in_k), idx, -1))
+        assert np.array_equal(chars_q, np.where(annihilator, idx, -1))
+        assert np.array_equal(elems_q, _cosets_from_coordinates(g, in_k))
+
+
+def test_quotient_bound_reports_do_not_depend_on_the_block_size(monkeypatch):
+    g = make_group([4, 6], "counting")
+    rng = SplitMix64(11)
+    sets = [(SymSet(g, symmetric_mask(rng, g, include_zero=True)),
+             SymSet(g, symmetric_mask(rng, g, include_zero=rng.chance(1, 2)))) for _ in range(6)]
+
+    def reports():  # from empty memos, so every LP is built from this block size's tables
+        monkeypatch.setattr(extremal, "_solved", extremal._Memo())
+        monkeypatch.setattr(extremal, "_built", extremal._Memo())
+        return (run_hom_suite(40, 3),
+                [verify_homomorphism_bound(g, BLOCKED_CASES[0][1], op, om) for op, om in sets])
+
+    expected = reports()
+    assert expected[0]["pass"] and all(rep["pass"] for rep in expected[1])
+    for chunk in (1, 2, 3, 7):
+        monkeypatch.setattr(groups, "_CHUNK", chunk)
+        assert reports() == expected

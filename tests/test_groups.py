@@ -182,6 +182,19 @@ def test_difference_mask_matches_bruteforce(monkeypatch):
             assert np.array_equal(difference_mask(g, a, b), brute > 0)
 
 
+@pytest.mark.parametrize("rows, columns, chunk", [
+    (10, 3, 7), (10, 0, 4), (0, 5, 8), (5, 9, 4), (6, 2, 12), (7, 1, 1 << 18),
+])
+def test_row_blocks_cover_the_rows_in_blocks_of_at_most_chunk_entries(monkeypatch, rows,
+                                                                       columns, chunk):
+    monkeypatch.setattr(groups, "_CHUNK", chunk)
+    blocks = list(groups._row_blocks(np.arange(rows), columns))
+    assert np.array_equal(np.concatenate([np.arange(0), *blocks]), np.arange(rows))
+    # a block holds at most chunk entries, or a single row longer than chunk
+    assert all(len(b) * columns <= chunk or len(b) == 1 for b in blocks)
+    assert all(len(b) > 0 for b in blocks)
+
+
 def test_symset_autosymmetrizes_with_flag():
     g = make_group([6])
     s = SymSet.from_elements(g, [0, 1])  # -1 = 5 missing

@@ -20,7 +20,8 @@ def _linprog(p):
     """scipy's linprog on p: a row with equal bounds is an equality, and each
     finite bound of another row an inequality, in row order."""
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, lo, hi in zip(p.a, p.row_lower, p.row_upper):
+    m = p.nrows
+    for row, lo, hi in zip(p.a, p.lo[:m], p.hi[:m]):
         if lo == hi:
             a_eq.append(row)
             b_eq.append(lo)
@@ -37,14 +38,14 @@ def _linprog(p):
         b_ub=np.asarray(b_ub) if b_ub else None,
         A_eq=np.asarray(a_eq) if a_eq else None,
         b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=list(zip(p.lower, p.upper)),
+        bounds=list(zip(p.lo[m:], p.hi[m:])),
         method="highs",
     )
 
 
 def _rhs_scale(p):
     """The largest finite row bound in absolute value."""
-    bounds = np.concatenate([p.row_lower, p.row_upper])
+    bounds = p.bounds[:, :p.nrows]
     return np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0)
 
 
@@ -293,6 +294,33 @@ def test_certificate_failure_is_resolved_with_tighter_tolerances(monkeypatch):
     assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
 
 
+def _z512_delsarte():
+    """Delsarte's LP on the probability-normalized Z_512 with Omega+ = {0, 7, -7}.
+
+    HiGHS's dual simplex answer fails the certificate (dual infeasibility
+    2.8e-9), and so does its re-solve from that basis at 1e-10; a fresh
+    primal simplex passes.
+    """
+    g = make_group([512], "probability")
+    return extremal.delsarte(g, SymSet.from_elements(g, [0, 7, 505]))
+
+
+def test_failure_after_the_tightened_resolve_is_solved_afresh_by_primal_simplex(monkeypatch):
+    runs, answer = [], lp._answer
+
+    def record(h, problem, iterations):  # simplex strategy and tolerance of each run
+        runs.append((h.getOptionValue("simplex_strategy")[1],
+                     h.getOptionValue("primal_feasibility_tolerance")[1]))
+        return answer(h, problem, iterations)
+
+    monkeypatch.setattr(lp, "_answer", record)
+    _forget(monkeypatch)
+    res = _z512_delsarte()
+    assert res.status == "optimal" and abs(res.value - 2 / 512) <= 1e-12
+    assert runs == [(1, 1e-7), (1, 1e-10), (4, 1e-7)]  # dual, dual tightened, primal
+    _assert_options_as_set(lp._solver())
+
+
 def _outcome(problem):
     try:
         sol = solve(problem)
@@ -310,6 +338,7 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
         m.setattr(extremal, "solve", lambda p: problems.append(p) or solve(p))
         g = make_group([240], "probability")
         extremal.delsarte(g, SymSet.from_elements(g, Z240_OMEGA_PLUS))  # the tightened re-solve
+        _z512_delsarte()  # the primal simplex after the tightened re-solve
     problems += [box([1], [[1]], [-1], ["<="]),  # infeasible
                  box([1], np.zeros((0, 1)), np.zeros(0), []),  # unbounded
                  box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="]),  # SolverFailure
@@ -321,9 +350,9 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
         history.append(_outcome(p))
         assert lp._solver() is shared
         _assert_options_as_set(shared)
-    assert history[0][0] == "optimal" and history[3][0] == "SolverFailure"
-    assert history[0][1] > 0
-    assert [o[0] for o in history[1:3]] == ["infeasible", "unbounded"]
+    assert history[0][0] == history[1][0] == "optimal" and history[4][0] == "SolverFailure"
+    assert history[0][1] > 0 and history[1][1] > 0
+    assert [o[0] for o in history[2:4]] == ["infeasible", "unbounded"]
 
     fresh = []
     for p in problems:
@@ -367,16 +396,12 @@ def test_bounds_are_read_only_views_of_the_stacked_pair():
     p = LpProblem([1, 2], [[1, 0], [0, 1], [1, 1]], [-INF, 0, 1], [4, INF, 5], [-1, 0], [2, INF])
     assert p.lo.tolist() == [-INF, 0, 1, -1, 0] and p.hi.tolist() == [4, INF, 5, 2, INF]
     assert np.array_equal(p.bounds, [p.lo, p.hi])
-    views = {"row_lower": p.lo[:3], "row_upper": p.hi[:3], "lower": p.lo[3:], "upper": p.hi[3:]}
-    for name, expect in views.items():
-        view = getattr(p, name)
-        assert np.array_equal(view, expect) and np.shares_memory(view, p.bounds), name
+    for view in (p.bounds, p.lo, p.hi):
+        assert np.shares_memory(view, p.bounds)
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 3.0
-        with pytest.raises(AttributeError):
-            setattr(p, name, expect)
     default = LpProblem([1], [[1]], [0], [1])
-    assert default.lower.tolist() == [0.0] and default.upper.tolist() == [INF]
+    assert default.lo.tolist() == [0.0, 0.0] and default.hi.tolist() == [1.0, INF]
     assert (default.nrows, default.nvars) == (1, 1)
 
 
@@ -482,7 +507,7 @@ def test_changed_entry_is_a_miss(monkeypatch):
     g, plus, minus = _z12()
     idx, in_k = np.arange(12), np.isin(np.arange(12), [0, 6])
     annihilator = ~g.char_phases(idx, [6]).any(axis=1)
-    chars = g.add_index(idx[:, None], np.flatnonzero(annihilator)[None, :]).min(axis=1)
+    chars = g.index_of(g.coords[:, None] + g.coords[annihilator]).min(axis=1)  # x + K^perp
     elems = np.where(in_k, idx, -1)  # Omega+- lie in K, so Omega+- meet the same classes
     _forget(monkeypatch)
     calls = _lp_solves(monkeypatch)
