@@ -129,26 +129,30 @@ def _packing_set(group: Group, allowed: np.ndarray, max_nodes: float = math.inf)
     Branch and bound over the indices in increasing order with an explicit
     stack, so the depth is not limited by recursion.  Each element is tried
     included before excluded, so among the largest sets the lexicographically
-    least is returned.  After max_nodes nodes the search stops and returns
-    the best set found so far: a largest one only if the search had finished,
-    and never worse than the greedy set, the first one found.
+    least is returned.  A node is pruned when its set plus every element from
+    its next index on that no chosen element bans cannot beat the best set.
+    After max_nodes nodes the search stops and returns the best set found so
+    far: a largest one only if the search had finished, and never worse than
+    the greedy set, the first one found.
     """
     if not allowed[0]:
         return []
-    n, conflict = group.size, _conflicts(group, allowed)
+    n, full = group.size, (1 << group.size) - 1
+    keep = [full ^ row for row in _conflicts(group, allowed)]
     best, best_size, nodes = 0, 0, 0
-    stack = [(0, 0, 0, 0)]  # (next element, banned mask, chosen mask, chosen count)
+    stack = [(0, full, 0, 0)]  # (next element, unbanned mask, chosen mask, chosen count)
     while stack and nodes < max_nodes:
         nodes += 1
-        start, banned, chosen, size = stack.pop()
-        if size + (n - start) <= best_size:
+        start, free, chosen, size = stack.pop()
+        left = free >> start  # the unbanned elements from start on
+        if size + left.bit_count() <= best_size:
             continue
         if start == n:
             best, best_size = chosen, size
             continue
-        stack.append((start + 1, banned, chosen, size))
-        if not (banned >> start) & 1:
-            stack.append((start + 1, banned | conflict[start], chosen | (1 << start), size + 1))
+        stack.append((start + 1, free, chosen, size))
+        if left & 1:
+            stack.append((start + 1, free & keep[start], chosen | (1 << start), size + 1))
     return [x for x in range(n) if (best >> x) & 1]
 
 

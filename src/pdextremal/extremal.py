@@ -58,8 +58,9 @@ from . import density as density_mod
 VALUE_TOL = 1e-8
 
 # node budget of the packing-witness search: at the default verify ineq size
-# the exact searches ended within 38,578 nodes (5,280 searches), and at
-# --max-n 400 one could run for minutes
+# the exact searches ended within 4,068 nodes (6,432 searches: the ineq and
+# density lists of verify-many, seeds 0-11, and verify ineq --fuzz 40
+# --seed 0..11), and at --max-n 400 three of the five of --seed 1 reach it
 WITNESS_NODES = 10**6
 
 # the budget of each memo, charged per entry for its value arrays, the byte
@@ -141,13 +142,16 @@ def _tables(group: Group, labels: tuple, chars: np.ndarray, elems: np.ndarray) -
     reps = idx[(elems == idx) & (idx <= elems[neg])]
 
     # rho_k(x): character pair k summed over the class pair of x; chi_k(-x) has the
-    # exact phase (-p) mod L, added as such, not doubled, so values are bit-stable
+    # exact phase (-p) mod L, added as such, not doubled, so values are bit-stable.
+    # The cosines are read from one table of the L phases, which holds the same
+    # floats as np.cos of the phase matrix
     L = group.char_lcm
     phases = group.char_phases(char_reps, reps)
     mult = 1 + (chars[neg[char_reps]] != char_reps)[:, None]
-    base = np.cos((2 * np.pi / L) * phases) * mult
+    cos = np.cos((2 * np.pi / L) * np.arange(L))
+    base = cos[phases] * mult
     paired = elems[neg[reps]] != reps
-    rho = base + paired * mult * np.cos((2 * np.pi / L) * (-phases % L))
+    rho = base + paired * mult * cos[-phases % L]
     for array in (char_reps, reps, base, rho):
         array.flags.writeable = False
     tables = char_reps, reps, base, rho, int(np.count_nonzero(chars == idx))

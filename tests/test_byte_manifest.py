@@ -74,6 +74,8 @@ ARGVS = [
       for d in ("1", "2")
       for table, end in (("hankel", "--s-max"), ("yudin", "--t-max"),
                          ("gorbachev-h", "--t-max"), ("ball-transform", "--t-max"))],
+    *[["radial", table, "--d", "4", end, "8", "--step", "1"]  # order 1, which j1 serves
+      for table, end in (("hankel", "--s-max"), ("yudin", "--t-max"))],
     ["trinomial", "optimize"],
     ["trinomial", "example51"],
     ["trinomial", "example51", "--csv"],

@@ -523,3 +523,37 @@ def test_quotient_bound_reports_do_not_depend_on_the_block_size(monkeypatch):
     for chunk in (1, 2, 3, 7):
         monkeypatch.setattr(groups, "_CHUNK", chunk)
         assert reports() == expected
+
+
+def _direct_cosines(group, chars, elems, char_reps, reps):
+    """base and rho of _tables with np.cos taken of the phase matrix itself."""
+    L, neg = group.char_lcm, group.neg
+    phases = group.char_phases(char_reps, reps)
+    mult = 1 + (chars[neg[char_reps]] != char_reps)[:, None]
+    base = np.cos((2 * np.pi / L) * phases) * mult
+    paired = elems[neg[reps]] != reps
+    return base, base + paired * mult * np.cos((2 * np.pi / L) * (-phases % L))
+
+
+def test_class_table_cosines_are_np_cos_of_the_phases_bit_for_bit(monkeypatch):
+    # the cosine table of the L phases gives the floats of the direct form, on
+    # identity labels of rank 1 to 3 and on the hom suite's coset labels
+    seen, tables = [], extremal._tables
+
+    def spy(group, labels, chars, elems):
+        seen.append((group, chars, elems, tables(group, labels, chars, elems)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(extremal, "_tables", spy)
+    monkeypatch.setattr(extremal, "_solved", extremal._Memo())
+    monkeypatch.setattr(extremal, "_built", extremal._Memo())
+    rng = SplitMix64(29)
+    for orders in ([1], [2], [7], [12], [240], [256], [4, 6], [6, 10], [2, 3, 4], [3, 4, 5]):
+        g = make_group(orders, "probability")
+        delsarte(g, SymSet(g, symmetric_mask(rng, g, include_zero=True)))
+    run_hom_suite(40, 3)
+    assert sum(not np.array_equal(elems, np.arange(g.size)) for g, _, elems, _ in seen) >= 40
+    for g, chars, elems, (char_reps, reps, base, rho, _) in seen:
+        want_base, want_rho = _direct_cosines(g, chars, elems, char_reps, reps)
+        assert base.tobytes() == want_base.tobytes()
+        assert rho.tobytes() == want_rho.tobytes()

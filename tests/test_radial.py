@@ -176,17 +176,35 @@ def test_bessel_j_against_mpmath(alpha, bound):
 
 
 def test_jv_never_called_from_x0_on(monkeypatch):
-    # every order but -1/2 and 1/2 takes Hankel's expansion for t >= X0(alpha)
+    # every order but -1/2 and 1/2 takes Hankel's expansion for t >= X0(alpha);
+    # below X0, order 1 takes j1, order 0 takes j0 from t = 2 on and jv below
     calls = []
 
-    def stub(alpha, t):
+    def stub_jv(alpha, t):
         x0 = radial._hankel_expansion(alpha)[0]
         assert np.all(np.asarray(t) < x0), f"jv called at order {alpha} with t >= X0 = {x0}"
+        assert alpha != 1.0, "jv called at order 1"
+        if alpha == 0.0:
+            assert np.all(np.asarray(t) < 2.0), "jv called at order 0 with t >= 2"
         calls.append(alpha)
         return scipy_jv(alpha, t)
 
-    scipy_jv = radial.jv
-    monkeypatch.setattr(radial, "jv", stub)
+    def stub_j0(t):
+        x0 = radial._hankel_expansion(0.0)[0]
+        assert np.all((np.asarray(t) >= 2.0) & (np.asarray(t) < x0)), "j0 outside [2, X0(0))"
+        calls.append("j0")
+        return scipy_j0(t)
+
+    def stub_j1(t):
+        x0 = radial._hankel_expansion(1.0)[0]
+        assert np.all(np.asarray(t) < x0), "j1 called with t >= X0(1)"
+        calls.append("j1")
+        return scipy_j1(t)
+
+    scipy_jv, scipy_j0, scipy_j1 = radial.jv, radial.j0, radial.j1
+    monkeypatch.setattr(radial, "jv", stub_jv)
+    monkeypatch.setattr(radial, "j0", stub_j0)
+    monkeypatch.setattr(radial, "j1", stub_j1)
     orders = (0.0, 1.0, 1.5, 2.5, 5.0, 9.0, 31.0, 32.0)
     for alpha in orders:
         assert np.all(np.isfinite(bessel_j(alpha, ORACLE_POINTS)))
@@ -196,7 +214,25 @@ def test_jv_never_called_from_x0_on(monkeypatch):
     values, _ = gorbachev_H_grid(2, np.linspace(4.0, 8.0, 5))
     assert np.all(np.isfinite(values))
     assert np.all(np.isfinite(ball_char_transform(2, np.linspace(0.0, 30.0, 301))))
-    assert set(calls) == set(orders)  # the stub saw each order below its X0
+    # the stubs saw each order below its X0: jv every order but 1, which j1 serves
+    assert set(calls) == set(orders) - {1.0} | {"j0", "j1"}
+
+
+# bands of t below X0 (18.40 at order 0, 18.42 at order 1)
+DENSE_BANDS = (1e-6, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
+
+
+@pytest.mark.parametrize("alpha, start", [(0.0, 2.0), (1.0, 1e-6)])
+def test_order_specific_kernels_no_worse_than_jv(alpha, start):
+    # j0 (order 0, from t = 2) and j1 (order 1) against mpmath, 2,000 points a
+    # band: in each band, bessel_j's worst error is at most the jv formula's
+    x0 = radial._hankel_expansion(alpha)[0]
+    edges = [e for e in DENSE_BANDS if e >= start] + [x0]
+    for lo, hi in zip(edges, edges[1:]):
+        t = (np.geomspace if lo < 0.1 else np.linspace)(lo, hi, 2001)[:-1]
+        want = np.array([j_mpmath(alpha, x) for x in t])
+        err = np.max(np.abs(bessel_j(alpha, t) - want))
+        assert err <= np.max(np.abs(j_scipy_jv(alpha, t) - want)), f"band [{lo}, {hi})"
 
 
 def test_closed_form_orders_never_reach_jv(monkeypatch):
