@@ -3,8 +3,13 @@
 ``from scipy.optimize._highspy import _core`` runs ``scipy/optimize/__init__.py``,
 which imports scipy.linalg, scipy.sparse and scipy.special: most of the
 package's import time.  ``extension`` loads the one compiled module from its
-file instead and registers it under its real name, so a later
-``import scipy.optimize`` reuses the same module object.
+file instead and registers it under its real name.  It finds scipy's folder
+with ``importlib.util.find_spec``, so not even ``scipy/__init__.py`` runs.
+
+A later ``import scipy.optimize`` reuses the registered module object, but
+its parent package does not get the module as an attribute: after it,
+``scipy.optimize._highspy._core`` is an ``AttributeError``, while
+``from scipy.optimize._highspy import _core`` still works.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import importlib.util
 import os
 import sys
 
-import scipy
+_SCIPY = importlib.util.find_spec("scipy").submodule_search_locations[0]
 
 
 def extension(name: str):
@@ -22,7 +27,7 @@ def extension(name: str):
     if name in sys.modules:
         return sys.modules[name]
     parts = name.split(".")
-    folder = os.path.join(os.path.dirname(scipy.__file__), *parts[1:-1])
+    folder = os.path.join(_SCIPY, *parts[1:-1])
     paths = [p for p in (os.path.join(folder, parts[-1] + suffix)
                          for suffix in importlib.machinery.EXTENSION_SUFFIXES)
              if os.path.isfile(p)]

@@ -113,15 +113,55 @@ def _to_json(obj):
 
 
 def _emit(command: str, result, seed=None, warnings=None) -> None:
+    """Print the payload as json.dumps(payload, sort_keys=True, indent=2,
+    default=_to_json) prints it.
+
+    indent=2 makes json use its pure-Python encoder.  So each nonempty 1-D or
+    2-D numpy array of booleans, integers or floats that is a value of a dict
+    result goes through json's C encoder in one call (``_array_text``); a
+    placeholder string holds the array's place in the json.dumps of the rest.
+    """
+    arrays = {}
+    if isinstance(result, dict):
+        arrays = {key: value for key, value in result.items()
+                  if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size
+                  and value.dtype.kind in "biuf"}
+    marks = {key: f"\0{i}" for i, key in enumerate(arrays)}
     payload = {
         "artifact_version": __version__,
         "command": command,
         "seed": seed,
         "tolerances": TOLERANCES,
-        "result": result,
+        "result": {**result, **marks} if marks else result,
         "warnings": warnings or [],
     }
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_to_json))
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_to_json)
+    for key, mark in marks.items():
+        parts = text.split(json.dumps(mark))
+        if len(parts) != 2:  # a string of the payload holds the mark's text
+            payload["result"] = result
+            text = json.dumps(payload, sort_keys=True, indent=2, default=_to_json)
+            break
+        text = _array_text(arrays[key], "    ").join(parts)  # result's keys sit at depth 2
+    print(text)
+
+
+def _array_text(a: np.ndarray, indent: str) -> str:
+    """json.dumps(a.tolist(), indent=2) for a 1-D or 2-D array whose key sits
+    at indent.
+
+    The C encoder separates the numbers by NUL, which no number's text holds,
+    and str.replace turns the separators into the indented layout.
+    """
+    inner = indent + "  "
+    body = json.dumps(a.tolist(), separators=("\0", ": "))[1:-1]
+    if a.ndim == 2:  # "[x\0y]\0[z\0w]"
+        cell = inner + "  "
+        body = ("[\n" + cell + body[1:-1].replace("]\0[", f"\n{inner}],\n{inner}[\n{cell}")
+                .replace("\0", ",\n" + cell) + "\n" + inner + "]")
+    else:
+        body = body.replace("\0", ",\n" + inner)
+    return "[\n" + inner + body + "\n" + indent + "]"
 
 
 def _emit_csv(columns, rows) -> None:
@@ -138,7 +178,7 @@ def _emit_table(command: str, columns, xs, ys, csv: bool, report=None) -> None:
     if csv:
         _emit_csv(columns, zip(xs, ys))
         return
-    result = {"table": list(zip(xs, ys))}
+    result = {"table": np.column_stack([xs, ys])}
     if report is not None:
         result["report"] = report()
     _emit(command, result)

@@ -44,7 +44,8 @@ import numpy as np
 from ._scipy import extension
 
 # HiGHS's compiled pybind11 core, scipy.optimize._highspy._core, loaded from
-# its file so that importing it does not run scipy/optimize/__init__.py.  Not
+# its file so that importing it runs neither scipy/__init__.py nor
+# scipy/optimize/__init__.py.  Not
 # linprog: linprog builds a new HiGHS object and sets every option on every
 # call, which would cost about as much as the thousands of tiny LPs of a
 # verification suite (median 4 rows x 6 columns) themselves.  Here there is one

@@ -3,12 +3,14 @@ Y_d with nonnegative compactly supported spectrum, the Gorbachev tail
 function H, Hankel (Fourier-Bessel) transforms, and the Fourier transform
 of the unit ball.
 
-The normalized Bessel function j_alpha(t) takes one of five paths: the
-two-term series below t = 1e-6; the closed forms cos t and sin t / t at
-alpha = -1/2 and 1/2; Hankel's large-argument expansion from X0(alpha) on,
-where its omitted terms are below 2^-56 (``_hankel_expansion``); in between,
-scipy's order-specific j0 and j1 at alpha = 0 (from t = 2) and alpha = 1,
-and its general-order jv otherwise.
+The normalized Bessel function j_alpha(t) splits [0, inf) into intervals
+with one kernel each (``_j_intervals``): the two-term series below
+t = 1e-6; the closed forms cos t and sin t / t at alpha = -1/2 and 1/2;
+Hankel's large-argument expansion from X0(alpha) on, where its omitted terms
+are below 2^-56 (``_hankel_expansion``); in between, scipy's order-specific
+j0 and j1 at alpha = 0 (from t = 2) and alpha = 1, and its general-order jv
+otherwise.  A call whose points lie in one interval runs one kernel on the
+whole array, with no mask and no copy.
 
 The Hankel integrands built from Y_d decay only like u^(-2), so plain
 truncation cannot reach the advertised tolerances.  Transforms therefore
@@ -20,6 +22,7 @@ incomplete oscillatory power integrals and integration by parts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +33,7 @@ import numpy as np
 from ._scipy import extension
 from .lp import QuadratureError
 
-# brentq, and jv, j0 and j1, compiled, without scipy.optimize's or
+# brentq, and jv, j0 and j1, compiled, without scipy's, scipy.optimize's or
 # scipy.special's __init__.py; on a 2-CPU Xeon VM the order-specific j0 and
 # j1 (Cephes) take 20-45 ns a point, the general-order jv (Amos) 520-610 ns
 _zeros = extension("scipy.optimize._zeros")
@@ -62,21 +65,27 @@ def _check_order(alpha: float) -> None:
 def bessel_j(alpha: float, t) -> np.ndarray | float:
     """j_alpha(t) = Gamma(alpha+1) (2/t)^alpha J_alpha(t), with j_alpha(0) = 1.
 
-    Each (alpha, t) takes one path:
+    Each order splits [0, inf) into intervals with one kernel each
+    (``_j_intervals``), in ascending order:
 
-    - t < 1e-6: the series 1 - t^2 / (4 (alpha + 1)), whose next term is O(t^4);
-    - alpha = -1/2 and 1/2 (d = 1 and d = 3): the elementary forms
-      (DLMF 10.16.1) j_{-1/2}(t) = cos t and j_{1/2}(t) = sin t / t, to about
-      one ulp of 1 at every finite t, where scipy's jv is off by up to 2e-15
-      at alpha = 1/2 and loses the value near t = 1e17;
-    - t >= X0(alpha), every other order: Hankel's expansion (DLMF 10.17.3),
-      at under a third of the cost of jv (``_hankel_j``);
-    - alpha = 1: 2 J_1(t) / t with scipy's j1, and alpha = 0 from
-      t = ``_J0_FROM`` on: J_0(t) with scipy's j0, each at under a tenth of
-      the cost of jv, with no larger worst error in any band measured
-      (``_J0_FROM``);
-    - otherwise Gamma(alpha+1) (2/t)^alpha jv(alpha, t), with scipy's
-      general-order jv.
+    - [0, 1e-6): the series 1 - t^2 / (4 (alpha + 1)), whose next term is O(t^4);
+    - alpha = -1/2 and 1/2 (d = 1 and d = 3), from 1e-6 on: the elementary
+      forms (DLMF 10.16.1) j_{-1/2}(t) = cos t and j_{1/2}(t) = sin t / t, to
+      about one ulp of 1 at every finite t, where scipy's jv is off by up to
+      2e-15 at alpha = 1/2 and loses the value near t = 1e17;
+    - alpha = 0: J_0(t) with scipy's jv below ``_J0_FROM`` and its j0 from
+      there on; alpha = 1: 2 J_1(t) / t with scipy's j1; each order-specific
+      kernel at under a tenth of the cost of jv, with no larger worst error in
+      any band measured (``_J0_FROM``);
+    - every other order: Gamma(alpha+1) (2/t)^alpha jv(alpha, t), with scipy's
+      general-order jv;
+    - from X0(alpha) on, every order but -1/2 and 1/2: Hankel's expansion
+      (DLMF 10.17.3), at under a third of the cost of jv (``_hankel_j``).
+
+    A call whose points all fall in one interval runs that kernel on the
+    array as passed; only a call that spans intervals is split by masks.
+    Either way each point gets the same kernel on the same float, so the
+    value of a point does not depend on the other points of the call.
 
     alpha must be finite and at least -1/2, t finite and nonnegative.
     """
@@ -84,27 +93,21 @@ def bessel_j(alpha: float, t) -> np.ndarray | float:
     t_arr = np.asarray(t, dtype=np.float64)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if not np.all((t_arr >= 0) & (t_arr < np.inf)):
+    if t_arr.size == 0:
+        return np.empty_like(t_arr)
+    lo, hi = t_arr.min(), t_arr.max()
+    if not (lo >= 0 and hi < np.inf):
         raise ValueError("argument must be finite and nonnegative")
-    out = np.empty_like(t_arr)
-    small = t_arr < 1e-6
-    # two series terms suffice below the cutoff (next term is O(t^4))
-    ts = t_arr[small]
-    out[small] = 1.0 - ts * ts / (4.0 * (alpha + 1.0))
-    tb = t_arr[~small]
-    if tb.size:
-        if alpha == -0.5:
-            out[~small] = np.cos(tb)
-        elif alpha == 0.5:
-            out[~small] = np.sin(tb) / tb
-        else:
-            expansion = _hankel_expansion(alpha)
-            far = tb >= (expansion[0] if expansion else np.inf)
-            vals = np.empty_like(tb)
-            if np.any(far):
-                vals[far] = _hankel_j(alpha, tb[far], expansion)
-            vals[~far] = _j_near(alpha, tb[~far])
-            out[~small] = vals
+    starts, kernels = _j_intervals(alpha)
+    first, last = bisect.bisect_right(starts, lo) - 1, bisect.bisect_right(starts, hi) - 1
+    if first == last:
+        out = kernels[first](t_arr)
+    else:
+        out = np.empty_like(t_arr)
+        which = np.searchsorted(starts, t_arr, side="right") - 1
+        for k in range(first, last + 1):
+            inside = which == k
+            out[inside] = kernels[k](t_arr[inside])
     return float(out[0]) if scalar else out
 
 
@@ -122,17 +125,30 @@ def bessel_j(alpha: float, t) -> np.ndarray | float:
 _J0_FROM = 2.0
 
 
-def _j_near(alpha: float, t: np.ndarray) -> np.ndarray:
-    """j_alpha(t) for 1e-6 <= t < X0(alpha), alpha not -1/2 or 1/2."""
-    if alpha == 1.0:
-        return 2.0 * j1(t) / t
+@lru_cache(maxsize=None)
+def _j_intervals(alpha: float):
+    """(starts, kernels) of j_alpha: kernels[k](t) serves starts[k] <= t < starts[k+1].
+
+    The kernels look jv, j0 and j1 up when they run, not when they are made.
+    """
+    starts, kernels = [0.0, 1e-6], [lambda t: 1.0 - t * t / (4.0 * (alpha + 1.0))]
+    if alpha == -0.5:
+        return tuple(starts), (*kernels, np.cos)
+    if alpha == 0.5:
+        return tuple(starts), (*kernels, lambda t: np.sin(t) / t)
     if alpha == 0.0:
-        out = np.empty_like(t)
-        cephes = t >= _J0_FROM
-        out[cephes] = j0(t[cephes])
-        out[~cephes] = jv(0.0, t[~cephes])
-        return out
-    return math.gamma(alpha + 1.0) * (2.0 / t) ** alpha * jv(alpha, t)
+        kernels += [lambda t: jv(0.0, t), lambda t: j0(t)]
+        starts.append(_J0_FROM)
+    elif alpha == 1.0:
+        kernels.append(lambda t: 2.0 * j1(t) / t)
+    else:
+        gamma = math.gamma(alpha + 1.0)
+        kernels.append(lambda t: gamma * (2.0 / t) ** alpha * jv(alpha, t))
+    expansion = _hankel_expansion(alpha)
+    if expansion:
+        starts.append(expansion[0])
+        kernels.append(lambda t: _hankel_j(alpha, t, expansion))
+    return tuple(starts), tuple(kernels)
 
 
 # Hankel's expansion is used where its first omitted term is below this

@@ -63,6 +63,8 @@ ARGVS = [
     ["constant", "--group", _group(240), "--kind", "delsarte", "--omega-plus", _Z240],
     ["constant", "--group", _group(256), "--kind", "delsarte", "--omega-plus", _Z256],
     ["constant", "--group", '{"orders":[0]}', "--omega-plus", "[0]"],
+    ["constant", "--group", _group(2, 3, 4), "--omega-plus", "[[0,0,0],[1,1,1],[1,2,3]]",
+     "--kind", "delsarte"],
     *[["verify", suite, "--fuzz", "30", "--seed", "5"]
       for suite in ("main", "tile", "hom", "product", "auto", "density", "ineq")],
     ["verify", "main", "--fuzz", "-5"],
@@ -76,6 +78,8 @@ ARGVS = [
                          ("gorbachev-h", "--t-max"), ("ball-transform", "--t-max"))],
     *[["radial", table, "--d", "4", end, "8", "--step", "1"]  # order 1, which j1 serves
       for table, end in (("hankel", "--s-max"), ("yudin", "--t-max"))],
+    ["radial", "yudin", "--d", "7", "--t-max", "300", "--step", "0.37"],  # floats like 1e-05
+    ["radial", "ball-transform", "--d", "5", "--t-max", "0", "--step", "1"],  # one point
     ["trinomial", "optimize"],
     ["trinomial", "example51"],
     ["trinomial", "example51", "--csv"],
@@ -145,7 +149,7 @@ def test_argv_after_a_primal_simplex_rescue_give_the_manifest_bytes(monkeypatch,
     assert cli.main(Z512_ARGV) == 0
     assert abs(json.loads(capsys.readouterr().out)["result"]["value"] - 2 / 512) <= 1e-12
     after = [a for a in ARGVS if a[:1] in (["constant"], ["verify"])]
-    assert len(after) == 16
+    assert len(after) == 17
     assert [outcome(a) for a in after] == [expected[shlex.join(a)] for a in after]
 
 

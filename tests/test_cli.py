@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy
 
@@ -619,6 +620,53 @@ def test_emit_bytes_by_type(capsys):
         cli._emit("probe", {"other": SimpleNamespace(a=1, b=2)})
 
 
+def _emit_oracle(command, result, seed=None, warnings=None):
+    """What _emit printed before arrays went through json's C encoder."""
+    payload = {"artifact_version": pdextremal.__version__, "command": command, "seed": seed,
+               "tolerances": cli.TOLERANCES, "result": result, "warnings": warnings or []}
+    return json.dumps(payload, sort_keys=True, indent=2, default=cli._to_json) + "\n"
+
+
+_ODD = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.7976931348623157e308,
+        1e-05, 1e22, 0.1]
+
+
+@pytest.mark.parametrize("result", [
+    {"table": np.column_stack([np.linspace(0.0, 3.0, 9), _ODD]), "report": {"pass": True}},
+    {"floats": np.array(_ODD), "ints": np.arange(-3, 4), "bools": np.array([True, False])},
+    {"rows": np.arange(6, dtype=np.uint8).reshape(3, 2),
+     "wide": np.array([[2**64 - 1]], dtype=np.uint64),
+     "flags": np.array([[True], [False]]), "single": np.float32([0.1, 3.0])},
+    {"cube": np.arange(8.0).reshape(2, 2, 1, 2), "one": np.array([7])},
+    {"empty": np.empty(0), "no_columns": np.empty((3, 0)), "no_rows": np.empty((0, 2)),
+     "zero_d": np.array(2.5), "scalar": np.float64(1.0), "x": np.arange(2.0)},
+    {"nested": {"a": np.arange(3.0), "b": [np.ones((1, 2))]}, "x": np.arange(2.0)},
+    np.arange(3.0),
+    [np.arange(2.0), "text"],
+    # strings that hold NUL, some with the text of an array's placeholder
+    {"s": "a\0b", "t": "\0", "u": "\x000", "a": np.arange(2.0)},
+    {"a": np.arange(2.0), "b": np.ones((2, 2)), "c": "\x001"},
+    {"a": np.arange(2.0), "b": np.ones((2, 2)), "c": ["\x000", "\"\x001"]},
+])
+def test_emit_prints_the_bytes_of_json_dumps(capsys, result):
+    # arrays at the top of a dict result go through json's C encoder; the
+    # bytes are those of the indented json.dumps of the whole payload
+    cli._emit("probe", result, seed=3, warnings=["w"])
+    assert capsys.readouterr().out == _emit_oracle("probe", result, 3, ["w"])
+
+
+def test_radial_table_prints_the_bytes_of_its_pairs(capsys):
+    # the table was printed from list(zip(xs, ys)), one (t, Y) pair a row
+    from pdextremal.radial import yudin_Y, yudin_sign_check
+
+    argv = ["radial", "yudin", "--d", "7", "--t-max", "30", "--step", "0.37"]
+    assert cli.main(argv) == 0
+    ts = np.arange(0.0, 30.0 + 0.37 / 2, 0.37)
+    ys = yudin_Y(7, ts)
+    result = {"table": list(zip(ts, ys)), "report": yudin_sign_check(7, ts, ys)}
+    assert capsys.readouterr().out == _emit_oracle("radial yudin", result)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "main", "--fuzz", "100000000000000000000"],
      "instance count (--fuzz) must be from 0 to 100000, got 100000000000000000000"),
@@ -631,7 +679,7 @@ def test_verify_limits_instance_count(capsys, argv, message):
 _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
+HEAVY = ("scipy", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
          "pdextremal.radial", "pdextremal.trinomial", "hashlib")
 import pdextremal.cli
 after_cli = [m for m in HEAVY if m in sys.modules]
@@ -661,7 +709,8 @@ def test_cli_import_loads_no_scipy_optimize():
     report = json.loads(done.stdout)
     assert report["after_cli"] == []
     assert report["after_package"] == []
-    # radial and trinomial load their compiled scipy modules alone
+    # radial and trinomial load their compiled scipy modules alone, and no
+    # module runs scipy's own __init__.py
     assert report["after_star"] == ["pdextremal.radial", "pdextremal.trinomial"]
     assert report["unresolved"] == []
     assert report["star"] == report["all"]

@@ -218,6 +218,30 @@ def test_jv_never_called_from_x0_on(monkeypatch):
     assert set(calls) == set(orders) - {1.0} | {"j0", "j1"}
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5, 5.0, 31.0])
+def test_a_point_gets_its_bits_whatever_the_other_points(alpha):
+    # a call inside one interval runs its kernel on the whole array, a call
+    # across intervals splits by masks; both give each point the bits of a
+    # call on that point alone
+    starts = radial._j_intervals(alpha)[0]
+    expansion = radial._hankel_expansion(alpha)
+    assert starts[:2] == (0.0, 1e-6)
+    assert (radial._J0_FROM in starts) == (alpha == 0.0)
+    assert (starts[-1] == expansion[0]) == (alpha not in (-0.5, 0.5))
+    rng = np.random.default_rng(30)
+    edges = [*starts, 2.0 * starts[-1] + 10.0]
+    inside = [np.concatenate([[lo, lo], rng.uniform(lo, hi, 300), [lo]])
+              for lo, hi in zip(edges, edges[1:])]
+    spanning = rng.permutation(np.concatenate(inside))
+    for t in [*inside, spanning, spanning[:300].reshape(20, 15)]:
+        want = np.array([bessel_j(alpha, x) for x in t.ravel()]).reshape(t.shape)
+        assert np.array_equal(bessel_j(alpha, t).view(np.int64), want.view(np.int64))
+    assert bessel_j(alpha, np.empty(0)).shape == (0,)
+    assert bessel_j(alpha, np.empty((0, 3))).shape == (0, 3)
+    zero_d = bessel_j(alpha, np.array(starts[-1]))
+    assert type(zero_d) is float and zero_d == bessel_j(alpha, [starts[-1]])[0]
+
+
 # bands of t below X0 (18.40 at order 0, 18.42 at order 1)
 DENSE_BANDS = (1e-6, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
 
