@@ -81,7 +81,8 @@ def _divisors(n: int) -> list[int]:
 MAX_GROUP = 2048  # largest group a suite may draw
 # most instances a suite may run: at 0.2-2.2 ms and 160-520 bytes of JSON
 # each (2,000 instances per suite at the default --max-n, seed 1, one thread
-# of a 2-CPU Xeon), at most ~4 minutes and ~50 MB of output
+# of a 2-CPU Xeon), at most ~4 minutes and ~50 MB of output; at --max-n 2048
+# an auto, main or hom instance takes 3-8 s, so 10**5 of them take 4-9 days
 MAX_COUNT = 10**5
 
 
@@ -94,6 +95,8 @@ def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case
     """
     if not 0 <= count <= MAX_COUNT:
         raise ValueError(f"instance count (--fuzz) must be from 0 to {MAX_COUNT}, got {count}")
+    if not 0 <= seed <= _MASK64:  # SplitMix64 would read it modulo 2^64
+        raise ValueError(f"seed (--seed) must be from 0 to {_MASK64}, got {seed}")
     if max_n < smallest:
         raise ValueError(f"max_n (--max-n) must be at least {smallest} for this suite, got {max_n}")
     limit = int(MAX_GROUP ** (1.0 / factors))

@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,28 +678,35 @@ def test_verify_limits_instance_count(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64])
+def test_verify_rejects_a_seed_outside_64_bits(capsys, seed):
+    # SplitMix64 reads its seed modulo 2^64, so these would replay another seed
+    assert_usage_error(capsys, ["verify", "tile", "--fuzz", "2", "--seed", str(seed)],
+                       f"seed (--seed) must be from 0 to {2**64 - 1}, got {seed}")
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_verify_accepts_each_64_bit_seed(capsys, seed):
+    code, out = run(capsys, ["verify", "tile", "--fuzz", "2", "--seed", str(seed)])
+    assert code == 0 and json.loads(out)["seed"] == seed
+
+
 _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 HEAVY = ("scipy", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
          "pdextremal.radial", "pdextremal.trinomial", "hashlib")
+import pdextremal
+after_package = {"numpy": "numpy" in sys.modules,
+                 "submodules": sorted(m for m in sys.modules if m.startswith("pdextremal.")),
+                 "names": sorted(n for n in vars(pdextremal) if not n.startswith("__")),
+                 "version": pdextremal.__version__}
 import pdextremal.cli
 after_cli = [m for m in HEAVY if m in sys.modules]
-import pdextremal
-after_package = [m for m in HEAVY if m in sys.modules]
-unresolved = [name for name in pdextremal.__all__ if getattr(pdextremal, name, None) is None]
-star = {}
-exec("from pdextremal import *", star)
-after_star = [m for m in HEAVY if m in sys.modules]  # every name resolved, radial's too
-try:
-    pdextremal.no_such_name
-    unknown = "resolved"
-except AttributeError as exc:
-    unknown = str(exc)
-print(json.dumps({"after_cli": after_cli, "after_package": after_package,
-                  "after_star": after_star, "unresolved": unresolved,
-                  "star": sorted(set(star) - {"__builtins__"}),
-                  "all": sorted(pdextremal.__all__), "unknown": unknown}))
+import pdextremal.radial, pdextremal.trinomial
+after_heavy = [m for m in HEAVY if m in sys.modules]
+print(json.dumps({"after_package": after_package, "after_cli": after_cli,
+                  "after_heavy": after_heavy}))
 """
 
 
@@ -707,16 +716,26 @@ def test_cli_import_loads_no_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
+    # the bare package is its version string: no numpy, no module of its own
+    assert report["after_package"] == {"numpy": False, "submodules": [], "names": [],
+                                       "version": pdextremal.__version__}
     assert report["after_cli"] == []
-    assert report["after_package"] == []
     # radial and trinomial load their compiled scipy modules alone, and no
     # module runs scipy's own __init__.py
-    assert report["after_star"] == ["pdextremal.radial", "pdextremal.trinomial"]
-    assert report["unresolved"] == []
-    assert report["star"] == report["all"]
-    assert report["unknown"] == "module 'pdextremal' has no attribute 'no_such_name'"
+    assert report["after_heavy"] == ["pdextremal.radial", "pdextremal.trinomial"]
 
     folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
     with pytest.raises(ImportError, match="_no_such_module") as info:
         extension("scipy.optimize._no_such_module")
     assert folder in str(info.value)
+
+
+def test_readme_layout_lists_every_public_module():
+    # the package exports only __version__, so README's Layout table is the
+    # index of its API: one row for each module whose name has no leading _
+    root = Path(__file__).resolve().parents[1]
+    modules = {path.stem for path in (root / "src" / "pdextremal").glob("[!_]*.py")}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `pdextremal\.(\w+)` \|", layout, flags=re.M)
+    assert sorted(rows) == sorted(modules)
