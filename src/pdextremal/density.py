@@ -170,9 +170,6 @@ def max_density_search(forbidden_diffs: Iterable[int], max_period: int) -> dict:
     if max_period < 1 or max_period > 24:
         raise ValueError(f"max_period (--max-period) must be between 1 and 24 "
                          f"(exhaustive search bound), got {max_period}")
-    if not forbidden:
-        return {"density": Fraction(1), "witness": PeriodicSet(1, frozenset([0])),
-                "search_bound": max_period}
 
     best_density = Fraction(0)
     best_witness = PeriodicSet(1, frozenset())

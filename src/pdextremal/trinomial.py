@@ -15,8 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+
+from .density import max_density_search
+from .extremal import verify_tile_theorem
+from .groups import SymSet, make_group
 
 Z_MAX = math.pi / 4
 
@@ -59,25 +64,22 @@ def critical_coeffs(z: float) -> Trinomial:
 
 
 def is_nonneg(tri: Trinomial) -> dict:
-    """Grid minimum of the trinomial on [0, pi] (4096 points), refined by ternary search."""
-    ts = np.linspace(0.0, math.pi, 4096)
+    """Exact minimum of the trinomial over all t, attained at argmin in [0, pi].
+
+    In c = cos t it is p(c) = 1 + a c + b (8c^4 - 8c^2 + 1), least at c = +-1 or
+    at a root of p'(c) = a + b (32c^3 - 16c), which needs |a| < 16|b|.  There
+    c = (2/sqrt 6) cos(phi) gives cos(3 phi) = -3 sqrt(6) a / (32 b) (Viete);
+    a complex phi gives one root by cosh and two spare candidates.
+    """
+    roots = []
+    if abs(tri.a) < 16.0 * abs(tri.b):
+        phi = np.arccos(complex(-3.0 * math.sqrt(6.0) * tri.a / (32.0 * tri.b)))
+        roots = 2.0 / math.sqrt(6.0) * np.cos((phi + 2.0 * math.pi * np.arange(3)) / 3.0).real
+    ts = np.arccos(np.clip(np.concatenate(([1.0, -1.0], roots)), -1.0, 1.0))
     vals = tri(ts)
     i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if tri(m1) < tri(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-14:
-            break
-    t_star = 0.5 * (lo + hi)
-    min_value = float(min(vals[i], tri(t_star)))
-    argmin = float(t_star if tri(t_star) <= vals[i] else ts[i])
-    return {"pass": bool(min_value >= -1e-9), "min_value": min_value, "argmin": argmin}
+    return {"pass": bool(vals[i] >= -1e-9), "min_value": float(vals[i]),
+            "argmin": float(ts[i])}
 
 
 def _golden_max(f, bracket, xtol: float) -> float:
@@ -115,17 +117,13 @@ def _objective(z: float) -> float:
 def optimize_trinomial() -> dict:
     """Maximize 1 + a(z) + b(z) over the critical family on [0, pi/4].
 
-    Grid scan seeds a golden-section refinement; the winner must be a
-    nonnegative trinomial.
+    A grid scan seeds a golden-section refinement; the scan's maximum is
+    interior, so its neighbours bracket it.  The winner must be a nonnegative
+    trinomial.
     """
     zs = np.linspace(0.0, Z_MAX, 2001)
-    vals = np.array([_objective(z) for z in zs])
-    i = int(np.argmax(vals))
-    if 0 < i < len(zs) - 1:
-        z = _golden_max(_objective, (zs[i - 1], zs[i], zs[i + 1]), xtol=1e-12)
-        z_star = float(min(max(z, 0.0), Z_MAX))
-    else:
-        z_star = float(zs[i])
+    i = int(np.argmax([_objective(z) for z in zs]))
+    z_star = float(_golden_max(_objective, (zs[i - 1], zs[i], zs[i + 1]), xtol=1e-12))
     coeffs = critical_coeffs(z_star)
     check = is_nonneg(coeffs)
     if not check["pass"]:
@@ -200,30 +198,18 @@ def example51_lower_bound() -> dict:
 
 
 def example51_comparison(lower_bound: dict | None = None) -> dict:
-    """D(W) = 2 by the discretized tile route, against the trinomial bound for Q.
+    """D(W) = 2 by verify_tile_theorem on discretized tiles, against the bound for Q.
 
     W = (-2, 2) is the difference set of the interval tile (-1, 1); on Z_n with
-    weight h it discretizes to H - H for H = {0, ..., m-1}, m * h = 2.
+    weight h it discretizes to H - H for H = {0, ..., m-1}, tiling with m Z_n.
     lower_bound is example51_lower_bound()'s result, computed here if not given.
     """
-    from fractions import Fraction
-
-    from .density import max_density_search, tiles_strict
-    from .extremal import delsarte
-    from .groups import difference_set, make_group
-
     tile_values = []
     for h, n in ((0.5, 8), (0.5, 16), (0.25, 16), (0.25, 32)):
         m = int(round(2.0 / h))
         group = make_group([n], h)
-        h_set = list(range(m))
-        lam = list(range(0, n, m))
-        if not tiles_strict(group, h_set, lam):
-            raise ConstructionError(f"discretization H with m={m} does not tile Z_{n}")
-        w_set = difference_set(h_set, h_set, group=group)
-        value = delsarte(group, w_set).value
-        tile_values.append({"h": h, "n": n, "value": value,
-                            "pass": bool(abs(value - 2.0) <= 1e-8)})
+        rep = verify_tile_theorem(group, list(range(m)), list(range(0, n, m)), SymSet.full(group))
+        tile_values.append({"h": h, "n": n, "value": rep["lhs"], "pass": rep["pass"]})
 
     lb = example51_lower_bound() if lower_bound is None else lower_bound
     search = max_density_search([1, 4], max_period=10)

@@ -13,6 +13,7 @@ import scipy
 import pdextremal
 import pdextremal.cli as cli
 from pdextremal._scipy import extension
+from pdextremal.extremal import ConditionViolated, NotAStrictTiling
 
 
 def run(capsys, argv):
@@ -104,6 +105,19 @@ def test_verify_exit_codes(capsys, monkeypatch):
                         lambda count, seed, max_n=None: {"pass": False, "failures": count})
     code, _ = run(capsys, ["verify", "tile", "--fuzz", "5", "--seed", "9"])
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [NotAStrictTiling, ConditionViolated])
+def test_verify_precondition_failure_exits_two(capsys, monkeypatch, error):
+    # the library verifiers raise these when a theorem's hypothesis fails
+    def suite(count, seed, max_n=None):
+        raise error("the hypothesis does not hold")
+
+    monkeypatch.setitem(cli.SUITES, "tile", suite)
+    code = cli.main(["verify", "tile", "--fuzz", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "verification precondition failed: the hypothesis does not hold\n"
 
 
 def test_verify_deterministic_bytes(capsys):
@@ -527,6 +541,21 @@ def test_closed_stdout_exits_one_without_traceback():
         stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_closed_stdout_during_json_exits_one_silently():
+    src = os.path.dirname(os.path.dirname(pdextremal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # ~20,000 table rows printed as one JSON text, far more than the pipe holds
+    proc = subprocess.Popen([sys.executable, "-m", "pdextremal.cli", "radial", "yudin",
+                             "--t-max", "200", "--step", "0.01"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(16) == b'{\n  "artifact_ve'
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 def test_gorbachev_h_single_point_table(capsys):

@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +70,7 @@ REJECTED = {
         '{"orders":[5],"normalization":"bogus"}',
         '{"orders":[0]}', f'{{"orders":[{2**64}]}}', '{"orders":[4096,2]}',
     ],
-    "--omega-plus": ["[[1,2]]", "[[0,1],[1,1]]", "[-1,-5]"],
+    "--omega-plus": ["[[1,2]]", "[[0,1],[1,1]]", "[-1,-5]", "5"],
     "--seed": [str(2**64)],
     "--max-n": ["2049"],
     "--d": ["65"],
@@ -79,6 +80,21 @@ REJECTED = {
                     "[[-Infinity,0]]"],
 }
 REJECTED["--omega-minus"] = REJECTED["--omega-plus"]
+
+
+# one argv per flag of REJECTED that exits 0 with the flag's first accepted value
+_GROUP = '{"orders":[6],"normalization":"probability"}'
+FIXED = {
+    "--group": ["constant", "--omega-plus", "[0]", "--group"],
+    "--omega-plus": ["constant", "--group", _GROUP, "--omega-plus"],
+    "--omega-minus": ["constant", "--group", _GROUP, "--omega-plus", "[0]", "--omega-minus"],
+    "--seed": ["verify", "tile", "--fuzz", "1", "--seed"],
+    "--max-n": ["verify", "tile", "--fuzz", "1", "--max-n"],
+    "--d": ["radial", "yudin", "--t-max", "1", "--d"],
+    "--forbidden": ["density", "search", "--forbidden"],
+    "--max-period": ["density", "search", "--forbidden", "[1]", "--max-period"],
+    "--intervals": ["density", "shadow", "--intervals"],
+}
 
 
 def _subcommands(parser):
@@ -177,3 +193,17 @@ def test_every_argv_ends_in_a_documented_exit(argv):
     _check_output(argv, code, out)
     # warm memos change no byte
     assert _run(argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("flag", sorted(FIXED))
+def test_each_fixed_argv_is_accepted(flag):
+    assert _run(FIXED[flag] + [VALUES[flag][0]])[0] == 0
+
+
+@pytest.mark.parametrize("flag, value", [(flag, value) for flag in sorted(REJECTED)
+                                         for value in REJECTED[flag]])
+def test_each_rejected_value_is_a_usage_error(flag, value):
+    # the fuzz draws these at random, so it need not reach each one's message
+    code, out, err = _run(FIXED[flag] + [value])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from pdextremal.trinomial import (
@@ -66,6 +68,34 @@ def test_is_nonneg_examples():
     assert not rep["pass"]
     assert rep["min_value"] == pytest.approx(-1.0, abs=1e-12)
     assert rep["argmin"] == pytest.approx(math.pi, abs=1e-6)
+    # |a| > 16|b|: the derivative has no root on [-1, 1], and a/b would overflow
+    assert is_nonneg(Trinomial(1.0, 5e-324)) == {"pass": True, "min_value": 5e-324,
+                                                 "argmin": math.pi}
+
+
+def test_is_nonneg_is_exact_at_the_optimum():
+    # the optimizer's trinomial touches 0 near t = 4 pi / 5; mpmath finds the
+    # root of its derivative for the coefficients as computed
+    mpmath = pytest.importorskip("mpmath")
+    tri = optimize_trinomial()["coeffs"]
+    rep = is_nonneg(tri)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(tri.a), mpmath.mpf(tri.b)
+        root = mpmath.findroot(lambda t: a * mpmath.sin(t) + 4 * b * mpmath.sin(4 * t),
+                               4 * mpmath.pi / 5)
+        assert abs(rep["argmin"] - root) <= 1e-15
+    assert abs(rep["min_value"]) <= 1e-15
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_is_nonneg_is_the_minimum(a, b):
+    tri = Trinomial(a, b)
+    rep = is_nonneg(tri)
+    assert 0.0 <= rep["argmin"] <= math.pi
+    assert rep["min_value"] == tri(rep["argmin"])
+    assert np.min(tri(np.linspace(0.0, math.pi, 4097))) >= rep["min_value"] - 1e-12
+    assert rep["pass"] == (rep["min_value"] >= -1e-9)
 
 
 def test_optimize_value_and_z():
