@@ -193,26 +193,11 @@ def density_bounds_check(group: Group, h, lam) -> dict:
     dens = auud_finite(group, lam)
     is_pack = packs_strict(group, h, lam)
     is_cover = covers(group, h, lam)
-    report = {
-        "auud": dens,
-        "inv_mass": (1.0 / mass) if mass > 0 else float("inf"),
-        "packs_strict": is_pack,
-        "covers": is_cover,
-        "tiles_strict": is_pack and is_cover,
-        "checks": [],
-    }
-    ok = True
-    if is_pack and mass > 0:
-        good = dens <= report["inv_mass"] + 1e-9
-        report["checks"].append({"relation": "auud <= 1/m_G(H)", "pass": good})
-        ok &= good
-    if is_cover and mass > 0:
-        good = dens >= report["inv_mass"] - 1e-9
-        report["checks"].append({"relation": "auud >= 1/m_G(H)", "pass": good})
-        ok &= good
-    if is_pack and is_cover and mass > 0:
-        good = abs(dens - report["inv_mass"]) <= 1e-9
-        report["checks"].append({"relation": "auud == 1/m_G(H)", "pass": good})
-        ok &= good
-    report["pass"] = bool(ok)
-    return report
+    inv = (1.0 / mass) if mass > 0 else float("inf")
+    relations = ((is_pack, "<=", dens <= inv + 1e-9), (is_cover, ">=", dens >= inv - 1e-9),
+                 (is_pack and is_cover, "==", abs(dens - inv) <= 1e-9))
+    checks = [{"relation": f"auud {rel} 1/m_G(H)", "pass": good}
+              for applies, rel, good in relations if applies and mass > 0]
+    return {"auud": dens, "inv_mass": inv, "packs_strict": is_pack, "covers": is_cover,
+            "tiles_strict": is_pack and is_cover, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .density import density_bounds_check, packs_strict, shift_counts
+from .density import density_bounds_check, shift_counts
 from .extremal import (
     delsarte,
     largest_packing_witness,
@@ -237,8 +237,7 @@ def _density_case(rng: SplitMix64, max_n: int) -> dict:
     lam = sorted({rng.below(n) for _ in range(lam_size)})
     rep = density_bounds_check(group, h, lam)
     # strict packing is equivalent to all cover counts <= 1
-    counts_ok = (packs_strict(group, h, lam)
-                 == bool(np.max(shift_counts(group, h, lam), initial=0) <= 1))
+    counts_ok = rep["packs_strict"] == bool(np.max(shift_counts(group, h, lam), initial=0) <= 1)
     return {"n": n, "h": h, "lam": lam, "pass": rep["pass"] and counts_ok,
             "auud": rep["auud"], "packs_strict": rep["packs_strict"], "covers": rep["covers"]}
 

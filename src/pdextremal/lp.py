@@ -17,9 +17,14 @@ answers, and 1.33 s against 0.92 s on 4,520 verify LPs, with objectives
 within 3.6e-15.  There is one HiGHS object per process: its options are set
 once, at the first ``solve``, and each LP replaces the model on it; the
 options of ``solve``'s two retries are restored before it returns.
-An optimal answer must pass ``check_certificate``, which recomputes the
-primal residual, the dual signs, dual feasibility and the duality gap from
-the original data.
+``solve`` returns a certified optimum or raises ``SolverFailure``: HiGHS's
+answer counts only if HiGHS ends optimal and the answer passes
+``check_certificate``, which recomputes the primal residual, the dual signs,
+dual feasibility and the duality gap from the original data.  There is no
+infeasible or unbounded result, because no extremal LP is either: the point
+mass f = 1_{0} is positive definite with f(0) = 1, so it is admissible
+whenever 0 is in Omega+ (``extremal._solve`` answers 0 before building an LP
+otherwise), and f(0) = 1 bounds the Haar integral of every admissible f.
 
 Where the time of a small LP goes, measured on the 2,463 LPs of two
 verify-many argv lists (median 5 rows x 8 columns), replayed in one process
@@ -37,7 +42,6 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,20 +62,15 @@ _HIGHS_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy":
                   # the LPs here have at most a few hundred rows, too few for
                   # presolve to pay: they solve faster without it (see above)
                   "presolve": "off",
-                  # when the dual simplex cannot tell infeasible from unbounded,
-                  # HiGHS settles which one instead of reporting the ambiguity
-                  "allow_unbounded_or_infeasible": False,
                   # HiGHS's defaults, put back after the tightened re-solve
                   "primal_feasibility_tolerance": 1e-7, "dual_feasibility_tolerance": 1e-7}
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
 _highs = None  # the process's HiGHS object, made by the first solve
 _ROWWISE, _MINIMIZE = int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize)
-_STATUS = {highs.HighsModelStatus.kInfeasible: ("infeasible", np.nan),
-           highs.HighsModelStatus.kUnbounded: ("unbounded", np.inf)}
 
 
 class SolverFailure(RuntimeError):
-    """Numerical breakdown distinct from an infeasible or unbounded model."""
+    """HiGHS ended without an optimum, or its answer failed the certificate check."""
 
 
 class QuadratureError(RuntimeError):
@@ -112,8 +111,9 @@ class LpProblem:
     def __init__(self, c, a, row_lower, row_upper, lower=None, upper=None):
         self.c = c = np.asarray(c, dtype=np.float64)
         n = c.shape[0]
-        self.a = np.asarray(a, dtype=np.float64).reshape(-1, n) if n else \
-            np.zeros((len(row_lower), 0))
+        if not n:
+            raise ValueError("an LP needs at least one variable")
+        self.a = np.asarray(a, dtype=np.float64).reshape(-1, n)
         m = self.a.shape[0]
         parts = [np.asarray(b, dtype=np.float64) for b in (
             row_lower, row_upper, np.zeros(n) if lower is None else lower,
@@ -149,10 +149,10 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
-    x: Optional[np.ndarray]
+    status: str  # always "optimal", since solve raises otherwise; the benchmark's tracer reads it
+    x: np.ndarray
     objective_value: float
-    dual: Optional[np.ndarray]
+    dual: np.ndarray
     dual_objective: float = np.nan
     max_violation: float = np.nan
     iterations: int = 0
@@ -208,7 +208,7 @@ def _pass_model(h, p: LpProblem) -> None:
     row, the costs negated (HiGHS minimizes) and every column continuous."""
     m, n = p.nrows, p.nvars
     # the dense pattern: row i starts at entry i * n, and entry k lies in column k % n
-    starts = np.arange(0, m * n, n, dtype=np.int32) if n else np.zeros(m, dtype=np.int32)
+    starts = np.arange(0, m * n, n, dtype=np.int32)
     h.clearModel()  # a model HiGHS rejects is not passed: the run then ends "Not Set"
     h.passModel(n, m, m * n, _ROWWISE, _MINIMIZE, 0.0, -p.c, p.lo[m:], p.hi[m:], p.lo[:m],
                 p.hi[:m], starts, np.arange(m * n, dtype=np.int32) % n, p.a.ravel(),
@@ -226,7 +226,7 @@ def _solver():
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the LP; optimal solutions carry row duals and a checked certificate.
+    """The LP's optimum, with row duals and a checked certificate, or SolverFailure.
 
     HiGHS accepts a primal residual within its own feasibility tolerance
     (1e-7), looser than the certificate's 1e-9.  An answer that fails the
@@ -265,12 +265,7 @@ def _answer(h, problem: LpProblem, iterations: int) -> LpSolution:
     h.run()
     status = h.getModelStatus()
     iterations += int(h.getInfoValue("simplex_iteration_count")[1])
-    if status in _STATUS:
-        name, value = _STATUS[status]
-        return LpSolution(name, None, value, None, iterations=iterations)
-    # with no columns HiGHS reports an empty model without reading the rows;
-    # the certificate check still does
-    if status not in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kModelEmpty):
+    if status != highs.HighsModelStatus.kOptimal:
         raise SolverFailure(f"HiGHS ended with status {h.modelStatusToString(status)}")
     solution = h.getSolution()
     x = np.asarray(solution.col_value, dtype=np.float64)
@@ -279,7 +274,6 @@ def _answer(h, problem: LpProblem, iterations: int) -> LpSolution:
 
 
 def _certified(problem: LpProblem, sol: LpSolution) -> LpSolution:
-    """sol, with its certificate checked and recorded if it is optimal."""
-    if sol.status == "optimal":
-        sol.max_violation, sol.dual_objective = check_certificate(problem, sol.x, sol.dual)
+    """sol, with its certificate checked and recorded."""
+    sol.max_violation, sol.dual_objective = check_certificate(problem, sol.x, sol.dual)
     return sol

@@ -26,7 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -290,8 +290,7 @@ def yudin_Y(d: int, t) -> np.ndarray | float:
     out = np.empty_like(t_arr)
     near = np.abs(t_arr - q) < 1e-4 * q
     far = ~near
-    jfar = bessel_j(alpha, t_arr[far]) if np.any(far) else np.empty(0)
-    out[far] = jfar**2 / (1.0 - (t_arr[far] / q) ** 2)
+    out[far] = bessel_j(alpha, t_arr[far])**2 / (1.0 - (t_arr[far] / q) ** 2)
     if np.any(near):
         slope = bessel_j_deriv(alpha, q)
         out[near] = -(q**2) * slope**2 * (t_arr[near] - q) / (t_arr[near] + q)
@@ -307,11 +306,8 @@ def yudin_sign_check(d: int, grid, values=None) -> dict:
     q = bessel_first_zero(d / 2.0 - 1.0)
     vals = np.atleast_1d(yudin_Y(d, grid) if values is None else values)
     before = grid <= q
-    violation = 0.0
-    if np.any(before):
-        violation = max(violation, float(np.max(-vals[before], initial=0.0)))
-    if np.any(~before):
-        violation = max(violation, float(np.max(vals[~before], initial=0.0)))
+    violation = max(0.0, float(np.max(-vals[before], initial=0.0)),
+                    float(np.max(vals[~before], initial=0.0)))
     return {"d": d, "first_zero": q, "max_violation": violation,
             "pass": bool(violation <= 1e-9)}
 
@@ -322,8 +318,7 @@ def yudin_sign_check(d: int, grid, values=None) -> dict:
 
 @lru_cache(maxsize=None)
 def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
@@ -378,10 +373,6 @@ def _osc_power_tail(rho: float, nu: float, phase: float, t0: float) -> float:
     return total
 
 
-def _osc_power_tail_sin(rho: float, nu: float, phase: float, t0: float) -> float:
-    return _osc_power_tail(rho, nu, phase - math.pi / 2.0, t0)
-
-
 # --------------------------------------------------------------------------
 # analytic tail models
 # --------------------------------------------------------------------------
@@ -429,7 +420,7 @@ def _asym_constants(nu: float) -> tuple[float, float, float]:
     return a, nu * math.pi / 2.0 + math.pi / 4.0, 4.0 * nu * nu
 
 
-def yudin_tail_model(m: int, start: float = TAIL_START) -> TailModel:
+def yudin_tail_model(m: int) -> TailModel:
     """Large-argument model of Y_m: envelope -A^2 q^2 u^(-(m+1)) with its
     second-order corrections and the cos/sin(2u - 2 beta) oscillations."""
     nu = m / 2.0 - 1.0
@@ -445,7 +436,7 @@ def yudin_tail_model(m: int, start: float = TAIL_START) -> TailModel:
                  "cos", 2.0, -2.0 * beta),
         TailTerm(lead * (mu - 1.0) / 8.0, m + 2.0, "sin", 2.0, -2.0 * beta),
     )
-    return TailModel(start, tuple(t for t in terms if t.coef != 0.0))
+    return TailModel(TAIL_START, tuple(t for t in terms if t.coef != 0.0))
 
 
 def gorbachev_tail_model(d: int, start: float = TAIL_START) -> TailModel:
@@ -468,10 +459,6 @@ def gorbachev_tail_model(d: int, start: float = TAIL_START) -> TailModel:
 # --------------------------------------------------------------------------
 # Hankel transform
 # --------------------------------------------------------------------------
-
-def _hankel_norm(alpha: float) -> float:
-    return 1.0 / (2.0**alpha * math.gamma(alpha + 1.0))
-
 
 _W_NUMERIC_END = 400.0  # W is integrated numerically below this, asymptotically beyond
 
@@ -503,7 +490,8 @@ def _bessel_power_tails(alpha: float, q_exps, xs: np.ndarray) -> np.ndarray:
         for i, x in enumerate(xs):
             v1 = max(_W_NUMERIC_END, float(x))
             out[k, i] += a * _osc_power_tail(rho, 1.0, -beta, v1)
-            out[k, i] -= a * (mu - 1.0) / 8.0 * _osc_power_tail_sin(rho + 1.0, 1.0, -beta, v1)
+            out[k, i] -= a * (mu - 1.0) / 8.0 * _osc_power_tail(rho + 1.0, 1.0,
+                                                                 -beta - math.pi / 2.0, v1)
     return out
 
 
@@ -542,7 +530,7 @@ def _osc_term_tail_asym(term: TailTerm, alpha: float, s: float, t2: float) -> fl
         if nu < 0:
             nu, psi = -nu, -psi
             scale = -scale
-        return scale * _osc_power_tail_sin(r, nu, psi, t2)
+        return scale * _osc_power_tail(r, nu, psi - math.pi / 2.0, t2)
 
     if term.kind == "cos":
         total += cospart(w - s, ph + beta, amp / 2.0, rho)
@@ -589,18 +577,16 @@ def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray) -> np.ndarr
     if not osc_terms:
         return totals
 
-    if t2 > u0:
-        nodes, weights = _panel_nodes(_linear_edges(u0, t2, 1.0), 16)
-        osc_vals = np.zeros_like(nodes)
-        for t in osc_terms:
-            osc_vals += t.eval(nodes)
-        power = nodes ** (2.0 * alpha + 1.0)
+    nodes, weights = _panel_nodes(_linear_edges(u0, t2, 1.0), 16)
+    osc_vals = np.zeros_like(nodes)
+    for t in osc_terms:
+        osc_vals += t.eval(nodes)
+    power = nodes ** (2.0 * alpha + 1.0)
     for i, s in enumerate(s_values):
         s = float(s)
         total = float(totals[i])
-        if t2 > u0:
-            kernel = np.atleast_1d(bessel_j(alpha, s * nodes)) * power
-            total += float(weights @ (osc_vals * kernel))
+        kernel = np.atleast_1d(bessel_j(alpha, s * nodes)) * power
+        total += float(weights @ (osc_vals * kernel))
         for t in osc_terms:
             if s * t2 >= 30.0:
                 total += _osc_term_tail_asym(t, alpha, s, t2)
@@ -611,30 +597,28 @@ def _tail_grid(model: TailModel, alpha: float, s_values: np.ndarray) -> np.ndarr
 
 
 def hankel_grid(profile: Callable, alpha: float, s_values,
-                tail: Optional[TailModel] = None) -> tuple[np.ndarray, dict]:
+                tail: TailModel) -> tuple[np.ndarray, dict]:
     """(H_alpha F)(s) = (1 / (2^alpha Gamma(alpha+1))) * integral_0^inf F(u) j_alpha(su) u^(2 alpha + 1) du
-    for profile F on a grid of s values, with an info dict.
+    for profile F on a grid of s values, with {"max_refinement_diff": ...}.
 
-    The numeric part integrates F minus the tail model on [0, T_MAX] (two GL
-    orders; their disagreement is the error estimate); the model's own
-    transform beyond its start radius is added analytically.
+    The numeric part integrates F minus the tail model on [0, T_MAX] with two
+    GL orders, whose largest disagreement is the error estimate reported; the
+    model's own transform beyond its start radius is added analytically (a
+    model with no terms leaves F truncated at T_MAX).
     """
     _check_order(alpha)
     s_values = np.atleast_1d(np.asarray(s_values, dtype=np.float64))
     edges = _linear_edges(0.0, T_MAX, PANEL_WIDTH)
     results = np.zeros_like(s_values)
     errors = np.zeros_like(s_values)
-    norm = _hankel_norm(alpha)
-
-    tail_vals = _tail_grid(tail, alpha, s_values) if tail is not None else None
+    norm = 1.0 / (2.0**alpha * math.gamma(alpha + 1.0))
+    tail_vals = _tail_grid(tail, alpha, s_values)
 
     orders = (GL_ORDER, GL_ORDER + 8)
     node_sets = [_panel_nodes(edges, o) for o in orders]
     f_vals = []
     for nodes, _ in node_sets:
-        fv = np.asarray(profile(nodes), dtype=np.float64)
-        if tail is not None:
-            fv = fv - tail.eval(nodes)
+        fv = np.asarray(profile(nodes), dtype=np.float64) - tail.eval(nodes)
         f_vals.append(fv * nodes ** (2.0 * alpha + 1.0))
 
     for i, s in enumerate(s_values):
@@ -643,10 +627,7 @@ def hankel_grid(profile: Callable, alpha: float, s_values,
             kernel = np.atleast_1d(bessel_j(alpha, s * nodes))
             pair.append(float(weights @ (fv * kernel)))
         err = abs(pair[1] - pair[0])
-        value = pair[1]
-        if tail is not None:
-            value += tail_vals[i]
-        results[i] = norm * value
+        results[i] = norm * (pair[1] + tail_vals[i])
         errors[i] = norm * err
         scale = 1.0 + abs(results[i])
         if err * norm > max(QUAD_TOL, 1e-12 * scale) * scale * 10:
@@ -654,13 +635,7 @@ def hankel_grid(profile: Callable, alpha: float, s_values,
                 f"quadrature refinement disagreement {err * norm:.3e} at s = {s}"
             )
 
-    info = {"max_refinement_diff": float(np.max(errors, initial=0.0)),
-            "tail_model": tail is not None}
-    if tail is None:
-        # report a crude power-law truncation estimate from the integrand edge
-        probe = abs(float(np.asarray(profile(np.asarray([T_MAX])), dtype=np.float64)[0]))
-        info["truncation_estimate"] = probe * T_MAX ** (2.0 * alpha + 1.0) * T_MAX
-    return results, info
+    return results, {"max_refinement_diff": float(np.max(errors, initial=0.0))}
 
 
 def yudin_hat_grid(d: int, s_values) -> np.ndarray:

@@ -80,6 +80,9 @@ ARGVS = [
       for table, end in (("hankel", "--s-max"), ("yudin", "--t-max"))],
     ["radial", "yudin", "--d", "7", "--t-max", "300", "--step", "0.37"],  # floats like 1e-05
     ["radial", "ball-transform", "--d", "5", "--t-max", "0", "--step", "1"],  # one point
+    ["radial", "hankel", "--d", "10"],  # exit 3
+    # s * TAIL_START < 1: the geometric panels of the constant-term tail integral
+    ["radial", "hankel", "--d", "2", "--s-max", "0.1", "--step", "0.01"],
     ["trinomial", "optimize"],
     ["trinomial", "example51"],
     ["trinomial", "example51", "--csv"],

@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from pdextremal import extremal, lp
 from pdextremal.extremal import two_set_constant
 from pdextremal.groups import SymSet, make_group
-from pdextremal.lp import LpProblem, LpSolution, SolverFailure, check_certificate, solve
+from pdextremal.lp import LpProblem, SolverFailure, check_certificate, solve
 
 
 def box(c, a, b, senses, lower=None, upper=None):
@@ -57,30 +57,24 @@ def test_box_maximum():
     assert np.allclose(sol.x, [1, 1], atol=1e-9)
 
 
-def test_infeasible_bounds():
-    p = box([1], [[1]], [-1], ["<="])  # x <= -1, x >= 0
-    assert solve(p).status == "infeasible"
-
-
-def test_unbounded_ray():
-    p = box([1], np.zeros((0, 1)), np.zeros(0), [])
-    assert solve(p).status == "unbounded"
-
-
-def test_statuses_exact_where_presolve_is_ambiguous():
-    # with allow_unbounded_or_infeasible on, HiGHS reports both as "unbounded
-    # or infeasible", with presolve on or off: the dual simplex itself cannot
-    # tell them apart
-    assert solve(box([1], [[1]], [2], [">="])).status == "unbounded"
-    p = box([1], [[2], [0]], [-2, -1], [">=", "="], lower=[-np.inf], upper=[np.inf])
-    assert solve(p).status == "infeasible"
+# the last two are "unbounded or infeasible" to the dual simplex itself, with
+# presolve on or off; HiGHS's default allow_unbounded_or_infeasible = false
+# makes it settle which one
+@pytest.mark.parametrize("problem, status", [
+    (box([1], [[1]], [-1], ["<="]), "Infeasible"),  # x <= -1, x >= 0
+    (box([1], np.zeros((0, 1)), np.zeros(0), []), "Unbounded"),  # no row
+    (box([1], [[1]], [2], [">="]), "Unbounded"),
+    (box([1], [[2], [0]], [-2, -1], [">=", "="], lower=[-np.inf], upper=[np.inf]), "Infeasible"),
+], ids=["infeasible_bounds", "unbounded_ray", "unbounded_where_presolve_is_ambiguous",
+        "infeasible_where_presolve_is_ambiguous"])
+def test_infeasible_or_unbounded_lp_is_a_solver_failure(problem, status):
+    with pytest.raises(SolverFailure, match=f"^HiGHS ended with status {status}$"):
+        solve(problem)
 
 
 def test_no_columns():
-    sol = solve(box(np.zeros(0), np.zeros((1, 0)), [1], ["<="]))
-    assert sol.status == "optimal" and sol.objective_value == 0.0
-    with pytest.raises(SolverFailure, match="residual"):
-        solve(box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="]))
+    with pytest.raises(ValueError, match="at least one variable"):
+        box(np.zeros(0), np.zeros((1, 0)), [1], ["<="])
 
 
 def test_model_highs_rejects_is_a_solver_failure():
@@ -171,18 +165,17 @@ def test_random_instances_match_scipy():
     solved = 0
     for _ in range(60):
         p = _random_instance(rng)
-        sol = solve(p)
         ref = _linprog(p)
-        if sol.status == "optimal":
-            assert ref.status == 0
-            assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6, rel=1e-6)
-            assert sol.max_violation <= 1e-9 * (1 + _rhs_scale(p))
-            assert abs(sol.objective_value - sol.dual_objective) <= 1e-8 * (1 + abs(sol.objective_value))
-            solved += 1
-        elif sol.status == "infeasible":
-            assert ref.status == 2
-        else:
-            assert ref.status == 3
+        if ref.status in (2, 3):  # infeasible, unbounded
+            with pytest.raises(SolverFailure, match=("Infeasible", "Unbounded")[ref.status - 2]):
+                solve(p)
+            continue
+        sol = solve(p)
+        assert ref.status == 0
+        assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6, rel=1e-6)
+        assert sol.max_violation <= 1e-9 * (1 + _rhs_scale(p))
+        assert abs(sol.objective_value - sol.dual_objective) <= 1e-8 * (1 + abs(sol.objective_value))
+        solved += 1
     assert solved >= 40  # construction makes most instances feasible/bounded
 
 
@@ -216,8 +209,6 @@ def _cases():
 def test_certificate_accepts_solver_answers():
     for p in _cases():
         sol = solve(p)
-        if sol.status != "optimal":
-            continue
         violation, dual_objective = check_certificate(p, sol.x, sol.dual)
         assert violation == sol.max_violation
         assert dual_objective == sol.dual_objective
@@ -326,9 +317,7 @@ def _outcome(problem):
         sol = solve(problem)
     except SolverFailure as exc:
         return "SolverFailure", str(exc)
-    return (sol.status, sol.iterations,
-            None if sol.x is None else sol.x.tobytes(),
-            None if sol.dual is None else sol.dual.tobytes())
+    return sol.status, sol.iterations, sol.x.tobytes(), sol.dual.tobytes()
 
 
 def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
@@ -339,10 +328,11 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
         g = make_group([240], "probability")
         extremal.delsarte(g, SymSet.from_elements(g, Z240_OMEGA_PLUS))  # the tightened re-solve
         _z512_delsarte()  # the primal simplex after the tightened re-solve
+    rejected = box([1], [[1]], [1], ["<="])
+    rejected.a[0, 0] = 1e300  # a model HiGHS refuses
     problems += [box([1], [[1]], [-1], ["<="]),  # infeasible
                  box([1], np.zeros((0, 1)), np.zeros(0), []),  # unbounded
-                 box(np.zeros(0), np.zeros((1, 0)), [-1], ["<="]),  # SolverFailure
-                 *_cases()]
+                 rejected, *_cases()]
 
     shared = lp._solver()
     history = []
@@ -350,9 +340,10 @@ def test_shared_solver_results_do_not_depend_on_call_history(monkeypatch):
         history.append(_outcome(p))
         assert lp._solver() is shared
         _assert_options_as_set(shared)
-    assert history[0][0] == history[1][0] == "optimal" and history[4][0] == "SolverFailure"
+    assert history[0][0] == history[1][0] == "optimal"
     assert history[0][1] > 0 and history[1][1] > 0
-    assert [o[0] for o in history[2:4]] == ["infeasible", "unbounded"]
+    assert history[2:5] == [("SolverFailure", f"HiGHS ended with status {status}")
+                            for status in ("Infeasible", "Unbounded", "Not Set")]
 
     fresh = []
     for p in problems:
@@ -572,11 +563,11 @@ def test_failed_and_nonoptimal_outcomes_are_not_remembered(monkeypatch):
         calls.append(p)
         if len(calls) % 2:
             raise SolverFailure("optimality certificate failed: residual 1.000e-03")
-        return LpSolution("infeasible", None, np.nan, None)
+        raise SolverFailure("HiGHS ended with status Infeasible")
 
     monkeypatch.setattr(extremal, "solve", failing)
     for _ in range(2):
-        for match in ("residual", "status infeasible"):
+        for match in ("residual", "status Infeasible"):
             with pytest.raises(SolverFailure, match=match):
                 two_set_constant(g, op, om)
     assert len(calls) == 4

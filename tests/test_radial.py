@@ -16,6 +16,8 @@ from pdextremal.radial import (
     gorbachev_H_report,
     gorbachev_tail_model,
     hankel_grid,
+    TAIL_START,
+    TailModel,
     yudin_Y,
     yudin_hat_grid,
     yudin_sign_check,
@@ -361,23 +363,25 @@ def test_ball_transform_matches_direct_integration():
 
 # -- Hankel transform -------------------------------------------------------------
 
+NO_TAIL = TailModel(TAIL_START, ())  # no terms: the profile is cut at T_MAX
+
 def test_hankel_ball_indicator():
     # radial Fourier connection: fhat(s) = (2 pi)^{d/2} (H_{d/2-1} chi_[0,1])(s)
     for d in (1, 2):
         alpha = d / 2 - 1
         for s in (0.5, 1.0, 3.0, 7.0):
             got = (2 * math.pi) ** (d / 2) * hankel_grid(
-                lambda u: (u <= 1.0).astype(float), alpha, [s])[0][0]
+                lambda u: (u <= 1.0).astype(float), alpha, [s], NO_TAIL)[0][0]
             assert got == pytest.approx(float(ball_char_transform(d, s)), abs=1e-7)
 
 
 def test_hankel_zero_profile():
-    assert hankel_grid(lambda u: np.zeros_like(u), 0.5, [1.3])[0][0] == 0.0
+    assert hankel_grid(lambda u: np.zeros_like(u), 0.5, [1.3], NO_TAIL)[0][0] == 0.0
 
 
-def test_hankel_reports_truncation_estimate():
-    values, info = hankel_grid(lambda u: np.exp(-u), 0.0, [1.0])
-    assert "truncation_estimate" in info and info["truncation_estimate"] >= 0.0
+def test_hankel_reports_refinement_difference():
+    values, info = hankel_grid(lambda u: np.exp(-u), 0.0, [1.0], NO_TAIL)
+    assert list(info) == ["max_refinement_diff"] and info["max_refinement_diff"] >= 0.0
     assert values[0] == pytest.approx((1 + 1.0**2) ** -1.5, abs=1e-9)  # known transform
 
 
@@ -386,7 +390,7 @@ def test_hankel_rejects_unresolvable_integrand():
 
     # phase ~ u^3 oscillates far below any fixed panel resolution near T_MAX
     with pytest.raises(QuadratureError):
-        hankel_grid(lambda u: np.sin(u**3), 0.0, [1.0])
+        hankel_grid(lambda u: np.sin(u**3), 0.0, [1.0], NO_TAIL)
 
 
 def test_transforms_reject_nonpositive_dimension():
