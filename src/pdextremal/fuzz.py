@@ -79,9 +79,9 @@ def _divisors(n: int) -> list[int]:
 
 
 MAX_GROUP = 2048  # largest group a suite may draw
-# most instances a suite may run: at 0.2-2.2 ms and 160-520 bytes of JSON
+# most instances a suite may run: at 0.1-0.8 ms and 160-520 bytes of JSON
 # each (2,000 instances per suite at the default --max-n, seed 1, one thread
-# of a 2-CPU Xeon), at most ~4 minutes and ~50 MB of output; at --max-n 2048
+# of a 2-CPU Xeon), at most ~1.5 minutes and ~50 MB of output; at --max-n 2048
 # an auto, main or hom instance takes 3-8 s, so 10**5 of them take 4-9 days
 MAX_COUNT = 10**5
 

@@ -8,7 +8,9 @@ A group's layout (the strides of that order, every element's coordinates and
 the negation x -> -x) depends on ``orders`` alone.  It is built once per
 process for each ``orders``, kept in a least-recently-used cache of _LAYOUTS
 entries, and shared, read-only, by every group with those orders, whatever
-its weight.
+its weight.  A group with a named normalization ("probability" or
+"counting") is kept the same way: ``make_group`` returns one frozen Group per
+orders and name.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ MAX_JSON_GROUP = 4096
 # of 8e-7 on 60 random two-set LPs, and 1e13 already failed once
 MASS_RANGE = (1e-2, 1e12)
 
-# layouts kept by _layout: an argv list of the benchmark's verify-many
-# workload meets 72-75 distinct orders, and a cyclic group of the suites'
-# largest size (2048) has a 32 KiB layout, so 256 of them hold at most 8 MiB
+# layouts kept by _layout, and named groups by _named_group: an argv list of
+# the benchmark's verify-many workload meets 72-75 distinct orders, and a
+# cyclic group of the suites' largest size (2048) has a 32 KiB layout, so 256
+# of them hold at most 8 MiB (a Group itself is a few hundred bytes)
 _LAYOUTS = 256
 
 
@@ -89,7 +92,7 @@ class Group:
             raise ValueError(f"weight {self.weight!r} gives a total mass of {self.total_mass!r}; "
                              f"it must lie in [{MASS_RANGE[0]:g}, {MASS_RANGE[1]:g}]")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return math.prod(self.orders)
 
@@ -131,6 +134,9 @@ class Group:
         return int(self.index_of(coords))
 
     def sub_index(self, a, b) -> np.ndarray:
+        if len(self.orders) == 1:  # an element of Z_n is its own coordinate
+            n = self.size
+            return (np.asarray(a, dtype=np.int64) % n - np.asarray(b, dtype=np.int64) % n) % n
         ca = self.coords_of(np.asarray(a))
         cb = self.coords_of(np.asarray(b))
         return self.index_of(ca - cb)
@@ -184,8 +190,20 @@ def make_group(orders: Sequence[int], normalization="counting") -> Group:
     """Build Z_{n1} x ... x Z_{nk} with the given Haar normalization."""
     if orders is None or len(orders) == 0:
         raise ValueError("order list must be nonempty")
-    group = Group(tuple(int(n) for n in orders), 1.0)  # checks the orders first
-    return Group(group.orders, _resolve_weight(group.size, normalization))
+    orders = tuple(int(n) for n in orders)
+    if type(normalization) is str:
+        return _named_group(orders, normalization)
+    return _build_group(orders, normalization)
+
+
+def _build_group(orders: tuple[int, ...], normalization) -> Group:
+    group = Group(orders, 1.0)  # checks the orders first
+    return Group(orders, _resolve_weight(group.size, normalization))
+
+
+# one shared Group per orders and name ("probability", "counting"); lru_cache
+# keeps no exception, so a rejected name or order list raises on every call
+_named_group = lru_cache(maxsize=_LAYOUTS)(_build_group)
 
 
 @dataclass
@@ -224,7 +242,7 @@ class SymSet:
         if m.shape != (self.group.size,):
             raise ValueError(f"mask has shape {m.shape}, expected ({self.group.size},)")
         sym = m & m[self.group.neg]
-        if not np.array_equal(sym, m):
+        if np.count_nonzero(sym) != np.count_nonzero(m):  # sym is a subset of m
             m = sym
             self.symmetrized = True
         self.mask = m
@@ -253,9 +271,9 @@ class SymSet:
 
     def elements(self) -> list:
         """Sorted coordinate tuples (plain ints for a single cyclic factor)."""
-        coords = self.group.coords_of(self.indices)
         if len(self.group.orders) == 1:
-            return [int(c[0]) for c in coords]
+            return self.indices.tolist()
+        coords = self.group.coords_of(self.indices)
         return [tuple(int(v) for v in c) for c in coords]
 
 

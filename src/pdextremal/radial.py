@@ -331,6 +331,25 @@ def _panel_nodes(edges: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
+# np.unique and np.median load numpy.ma (through np.ma.is_masked and
+# _median_nancheck); these two do the same float operations without it
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique of a finite array: sorted, each value once."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a nonempty finite array."""
+    x = np.sort(x, axis=None)
+    h = x.size // 2
+    return float(x[h]) if x.size % 2 else float((x[h - 1] + x[h]) / 2.0)
+
+
 def _linear_edges(a: float, b: float, width: float) -> np.ndarray:
     n = max(1, int(math.ceil((b - a) / width)))
     return np.linspace(a, b, n + 1)
@@ -475,7 +494,7 @@ def _bessel_power_tails(alpha: float, q_exps, xs: np.ndarray) -> np.ndarray:
     out = np.zeros((len(q_exps), xs.size))
     inside = xs < _W_NUMERIC_END
     if np.any(inside):
-        knots = np.unique(np.concatenate([
+        knots = _sorted_distinct(np.concatenate([
             _geometric_edges(float(np.min(xs[inside])), _W_NUMERIC_END, 0.5), xs[inside]]))
         nodes, weights = _panel_nodes(knots, 16)
         jvals = bessel_j(alpha, nodes)
@@ -676,7 +695,7 @@ def gorbachev_H_grid(d: int, ts) -> tuple[np.ndarray, dict]:
     tail_at_tmax = float(model.eval(np.asarray([T_MAX]))[0])
     beyond = ts > T_MAX
     # the edges end at T_MAX exactly, so the knots do too
-    knots = np.unique(np.concatenate([ts[~beyond], edges]))
+    knots = _sorted_distinct(np.concatenate([ts[~beyond], edges]))
 
     def integrand(u):
         return u * np.atleast_1d(yudin_Y(d + 2, u))
@@ -725,7 +744,7 @@ def gorbachev_H_report(d: int, ts=None, grid=None) -> dict:
         "negative_beyond_first_zero": negative,
         "nondecreasing": nondecreasing,
         "scaled_bounded_below": bounded,
-        "fitted_tail_constant": float(np.median(scaled)) if scaled.size else None,
+        "fitted_tail_constant": _median(scaled) if scaled.size else None,
         "pass": negative and nondecreasing and bounded,
         "quadrature": info,
     }

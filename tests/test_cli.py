@@ -734,8 +734,14 @@ import pdextremal.cli
 after_cli = [m for m in HEAVY if m in sys.modules]
 import pdextremal.radial, pdextremal.trinomial
 after_heavy = [m for m in HEAVY if m in sys.modules]
+import contextlib, io
+tables = {}
+for table in ("hankel", "gorbachev-h", "yudin", "ball-transform"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        tables[table] = pdextremal.cli.main(["radial", table, "--d", "3"])
 print(json.dumps({"after_package": after_package, "after_cli": after_cli,
-                  "after_heavy": after_heavy}))
+                  "after_heavy": after_heavy, "tables": tables,
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -752,6 +758,9 @@ def test_cli_import_loads_no_scipy_optimize():
     # radial and trinomial load their compiled scipy modules alone, and no
     # module runs scipy's own __init__.py
     assert report["after_heavy"] == ["pdextremal.radial", "pdextremal.trinomial"]
+    # np.unique and np.median would load numpy.ma; no radial table calls them
+    assert report["tables"] == {"hankel": 0, "gorbachev-h": 0, "yudin": 0, "ball-transform": 0}
+    assert report["numpy_ma"] is False
 
     folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
     with pytest.raises(ImportError, match="_no_such_module") as info:

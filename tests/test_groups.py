@@ -269,3 +269,60 @@ def test_plain_int_lists_take_one_conversion_with_element_index_results():
 def test_other_element_lists_keep_their_errors(orders, elements, match):
     with pytest.raises(ValueError, match=match):
         groups._as_indices(make_group(orders), elements)
+
+
+_INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2048),
+       a=st.lists(_INT64, min_size=1, max_size=6), b=st.lists(_INT64, min_size=1, max_size=6))
+def test_cyclic_sub_index_is_the_coordinate_path(n, a, b):
+    g = make_group([n])
+    a = np.asarray(a + [0, n - 1, n, -1, -n], dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    for x, y in ((a[:, None], b), (b[:, None], a), (a, a[::-1]), (int(a[0]), int(b[0])),
+                 (a[-1], b)):
+        got = g.sub_index(x, y)
+        want = g.index_of(g.coords_of(x) - g.coords_of(y))
+        assert type(got) is type(want) and got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=2),
+       data=st.data())
+def test_symset_symmetrizes_exactly_the_asymmetric_masks(orders, data):
+    g = make_group(orders)
+    mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.size, max_size=g.size)),
+                      dtype=bool)
+    s = SymSet(g, mask)
+    assert np.array_equal(s.mask, mask & mask[g.neg])
+    assert s.symmetrized == (not np.array_equal(mask, mask[g.neg]))
+    expect = [tuple(int(v) for v in c) for c in g.coords_of(s.indices)]
+    if len(orders) == 1:  # plain Python ints, as the coordinate path gives them
+        expect = [c[0] for c in expect]
+    assert s.elements() == expect and all(type(e) is type(expect[0]) for e in s.elements())
+
+
+def test_named_groups_are_built_once_per_orders():
+    for norm in ("probability", "counting"):
+        g = make_group([12], norm)
+        assert make_group([12], norm) is g and make_group((np.int64(12),), norm) is g
+        assert make_group([3, 4], norm) is make_group([3, 4], norm) is not make_group([4, 3], norm)
+    assert make_group([12], "probability") is not make_group([12], "counting")
+    # numeric and {"weight": ...} normalizations build a new group each call
+    assert make_group([12], 1.0) is not make_group([12], 1.0)
+    assert make_group([12], {"weight": 0.5}) == make_group([12], {"weight": 0.5})
+    assert make_group([12], {"weight": 0.5}) is not make_group([12], {"weight": 0.5})
+
+
+def test_rejected_named_groups_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="all cyclic orders must be >= 1"):
+            make_group([0], "probability")
+        with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+            make_group([4], "bogus")
+        with pytest.raises(ValueError, match="unknown normalization True"):
+            make_group([4], True)  # True == 1 and hashes alike, yet is no weight
+        assert make_group([4], 1).weight == 1.0
