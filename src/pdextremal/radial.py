@@ -7,10 +7,14 @@ The normalized Bessel function j_alpha(t) splits [0, inf) into intervals
 with one kernel each (``_j_intervals``): the two-term series below
 t = 1e-6; the closed forms cos t and sin t / t at alpha = -1/2 and 1/2;
 Hankel's large-argument expansion from X0(alpha) on, where its omitted terms
-are below 2^-56 (``_hankel_expansion``); in between, scipy's order-specific
-j0 and j1 at alpha = 0 (from t = 2) and alpha = 1, and its general-order jv
-otherwise.  A call whose points lie in one interval runs one kernel on the
-whole array, with no mask and no copy.
+are below 2^-56, in stages that keep half as many term pairs each from
+where that many meet the same rule (``_hankel_expansion``; at alpha = 0,
+18, 9, 5, 3, 2 and 1 pairs from 18.4, 26.1, 77.6, 588, 9481 and 7.1e7); in
+between, scipy's order-specific j0 and j1 at alpha = 0 (from t = 2) and
+alpha = 1, and its general-order jv otherwise.  A call takes its points in
+ascending order and runs each interval's kernel on one contiguous slice; a
+call whose points lie in one interval runs one kernel on the whole array,
+with no copy.
 
 The Hankel integrands built from Y_d decay only like u^(-2), so plain
 truncation cannot reach the advertised tolerances.  Transforms therefore
@@ -22,7 +26,6 @@ incomplete oscillatory power integrals and integration by parts.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,35 +83,45 @@ def bessel_j(alpha: float, t) -> np.ndarray | float:
     - every other order: Gamma(alpha+1) (2/t)^alpha jv(alpha, t), with scipy's
       general-order jv;
     - from X0(alpha) on, every order but -1/2 and 1/2: Hankel's expansion
-      (DLMF 10.17.3), at under a third of the cost of jv (``_hankel_j``).
+      (DLMF 10.17.3), at under a third of the cost of jv (``_hankel_j``), in
+      stages that keep fewer term pairs as t grows (at alpha = 0, 18 pairs
+      from 18.4, 9 from 26.1, 5 from 77.6, 3 from 588, 2 from 9481 and 1
+      from 7.1e7; ``_hankel_expansion``).
 
-    A call whose points all fall in one interval runs that kernel on the
-    array as passed; only a call that spans intervals is split by masks.
-    Either way each point gets the same kernel on the same float, so the
-    value of a point does not depend on the other points of the call.
+    The points are taken in ascending order, which every caller in this
+    module passes (other input is sorted by a stable argsort, and the values
+    put back in its order), and cut into one contiguous slice per interval
+    at ``np.searchsorted``; a call whose points all fall in one interval
+    runs that kernel on the array as passed.  Either way each point gets the
+    same kernel on the same float, so the value of a point does not depend
+    on the other points of the call.
 
     alpha must be finite and at least -1/2, t finite and nonnegative.
     """
     _check_order(alpha)
     t_arr = np.asarray(t, dtype=np.float64)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
     if t_arr.size == 0:
         return np.empty_like(t_arr)
-    lo, hi = t_arr.min(), t_arr.max()
-    if not (lo >= 0 and hi < np.inf):
+    flat = t_arr.ravel()
+    order = None
+    if not np.all(flat[1:] >= flat[:-1]):  # also where a NaN is
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+    if not (flat[0] >= 0 and flat[-1] < np.inf):
         raise ValueError("argument must be finite and nonnegative")
     starts, kernels = _j_intervals(alpha)
-    first, last = bisect.bisect_right(starts, lo) - 1, bisect.bisect_right(starts, hi) - 1
-    if first == last:
-        out = kernels[first](t_arr)
+    cuts = [0, *np.searchsorted(flat, starts[1:]).tolist(), flat.size]
+    spans = [(k, lo, hi) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+    if len(spans) == 1:
+        out = kernels[spans[0][0]](flat)
     else:
-        out = np.empty_like(t_arr)
-        which = np.searchsorted(starts, t_arr, side="right") - 1
-        for k in range(first, last + 1):
-            inside = which == k
-            out[inside] = kernels[k](t_arr[inside])
-    return float(out[0]) if scalar else out
+        out = np.empty_like(flat)
+        for k, lo, hi in spans:
+            out[lo:hi] = kernels[k](flat[lo:hi])
+    if order is not None:
+        out, in_order = np.empty_like(out), out
+        out[order] = in_order
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 # j0 serves alpha = 0 from here on, jv below.  Worst and mean absolute error
@@ -145,9 +158,9 @@ def _j_intervals(alpha: float):
         gamma = math.gamma(alpha + 1.0)
         kernels.append(lambda t: gamma * (2.0 / t) ** alpha * jv(alpha, t))
     expansion = _hankel_expansion(alpha)
-    if expansion:
-        starts.append(expansion[0])
-        kernels.append(lambda t: _hankel_j(alpha, t, expansion))
+    for start, pairs in expansion[5] if expansion else ():
+        starts.append(start)
+        kernels.append(lambda t, pairs=pairs: _hankel_j(alpha, t, expansion, pairs))
     return tuple(starts), tuple(kernels)
 
 
@@ -157,26 +170,42 @@ _HANKEL_TAIL = 2.0 ** -56
 
 @lru_cache(maxsize=None)
 def _hankel_expansion(alpha: float):
-    """(X0, P coefficients, Q coefficients, A cos beta, A sin beta) of Hankel's
-    expansion of j_alpha, or None where the order keeps jv.
+    """(X0, P coefficients, Q coefficients, A cos beta, A sin beta, stages) of
+    Hankel's expansion of j_alpha, or None where the order keeps jv.
 
     j_alpha(t) = A t^(-alpha-1/2) [P cos(t - beta) - Q sin(t - beta)] with
     P = sum_k (-1)^k a_2k t^(-2k), Q = sum_k (-1)^k a_(2k+1) t^(-2k-1) and
     a_k = a_(k-1) (4 alpha^2 - (2k-1)^2) / (8k) (DLMF 10.17.1-3); A and beta
     are ``_asym_constants(alpha)``.  The coefficients are highest power
-    first, for Horner's rule in 1/t^2.
+    first, for Horner's rule in 1/t^2, so the n lowest powers of each sum
+    are the last n coefficients.
 
     With n >= max(|alpha|/2 - 1/4, 1) terms in each of P and Q (DLMF
     10.17(iii); P and Q depend on alpha^2 only) each sum is off by at most
-    its first omitted term, a_2n t^(-2n) and a_(2n+1) t^(-2n-1).  X0 is the
+    its first omitted term, a_2n t^(-2n) and a_(2n+1) t^(-2n-1).  X_n is the
     least t at which both are below 2^-56 and no kept term a_k t^(-k)
     exceeds the leading 1, so that Horner's rounding stays at an ulp of the
-    envelope A t^(-alpha-1/2), where jv is off by a few.  n is the count
-    with the least X0: 18 at alpha = 0, where X0 = 18.4.  An order whose
-    coefficients overflow keeps jv.
+    envelope A t^(-alpha-1/2), where jv is off by a few.  X0 = X_n0 for the
+    count n0 with the least X_n: 18 at alpha = 0, where X0 = 18.4.  An order
+    whose coefficients overflow keeps jv.
+
+    Fewer pairs meet the same two rules further out.  ``stages`` holds
+    (X_n, n) for n = n0, then ceil(n0 / 2), half of that again and so on
+    down to 1, each kept where X_n lies strictly beyond the stage before:
+    at alpha = 0, 18 pairs from 18.4, 9 from 26.1, 5 from 77.6, 3 from 588,
+    2 from 9481 and 1 from 7.1e7.  Below n0 the terms a_k t^(-k) a stage
+    omits up to k = 2 n0 + 1 sum to at most 1.8 * 2^-56 from X_n on (the
+    most, at alpha <= 50, is at alpha = 2 with 10 pairs), and the n0-pair
+    bound covers the rest.  From alpha = 37 on X_ceil(n0/2) equals X0, and
+    that stage is left out.
     """
     mu = 4.0 * alpha * alpha
     a = [1.0]
+
+    def reach(n):  # X_n; needs a[2n + 1]
+        return max([abs(a[k]) ** (1.0 / k) for k in range(1, 2 * n)]
+                   + [(abs(a[k]) / _HANKEL_TAIL) ** (1.0 / k) for k in (2 * n, 2 * n + 1)])
+
     pairs = max(1, math.ceil(abs(alpha) / 2.0 - 0.25))
     best = None
     while True:
@@ -185,18 +214,23 @@ def _hankel_expansion(alpha: float):
             a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8 * k))
         if not math.isfinite(a[-1]):  # once a coefficient overflows, so do the rest
             return None
-        x0 = max([abs(a[k]) ** (1.0 / k) for k in range(1, 2 * pairs)]
-                 + [(abs(a[k]) / _HANKEL_TAIL) ** (1.0 / k) for k in (2 * pairs, 2 * pairs + 1)])
+        x0 = reach(pairs)
         if best is not None and x0 >= best[0]:
             break
         best = (x0, pairs)
         pairs += 1
     x0, pairs = best
+    stages, n = [best], pairs
+    while n > 1:
+        n = (n + 1) // 2
+        start = reach(n)
+        if start > stages[-1][0]:
+            stages.append((start, n))
     amp, _, _ = _asym_constants(alpha)
     cos_beta, sin_beta = _cos_sin_beta(alpha)
     return (x0, tuple((-1) ** k * a[2 * k] for k in reversed(range(pairs))),
             tuple((-1) ** k * a[2 * k + 1] for k in reversed(range(pairs))),
-            amp * cos_beta, amp * sin_beta)
+            amp * cos_beta, amp * sin_beta, tuple(stages))
 
 
 def _cos_sin_beta(alpha: float) -> tuple[float, float]:
@@ -216,14 +250,16 @@ def _cos_sin_beta(alpha: float) -> tuple[float, float]:
     return c, s
 
 
-def _hankel_j(alpha: float, t: np.ndarray, expansion) -> np.ndarray:
-    """j_alpha(t) by Hankel's expansion, for t >= X0(alpha) of ``_hankel_expansion``.
+def _hankel_j(alpha: float, t: np.ndarray, expansion, pairs: int) -> np.ndarray:
+    """j_alpha(t) by Hankel's expansion with the lowest ``pairs`` terms of P
+    and Q, for t >= X_pairs(alpha), a stage start of ``_hankel_expansion``.
 
     A cos(t - beta) and A sin(t - beta) come by angle addition from cos t and
     sin t: rounding t - beta first would put up to ulp(t) / 2 into the phase,
     1.1e-13 at t = 2000, where it is 2e-15 of j_0.
     """
-    _, p_coef, q_coef, a_cos, a_sin = expansion
+    _, p_coef, q_coef, a_cos, a_sin, _ = expansion
+    p_coef, q_coef = p_coef[-pairs:], q_coef[-pairs:]
     x = 1.0 / (t * t)
     p = np.full_like(t, p_coef[0])
     for c in p_coef[1:]:
@@ -243,25 +279,28 @@ def _hankel_j(alpha: float, t: np.ndarray, expansion) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def bessel_first_zero(alpha: float) -> float:
-    """First positive zero q_alpha of j_alpha, to 1e-10 absolute."""
+    """First positive zero q_alpha of j_alpha, to 1e-10 absolute.
+
+    The bracket is the first sign change of j_alpha on the scan 0.1, 0.2, ...
+    by steps of 0.1 up to the first point at or beyond the limit; the points
+    are the left-to-right float sums t += 0.1, all evaluated in one call.
+    """
     _check_order(alpha)
     step = 0.1
-    t_prev = step
     limit = alpha + 20.0 + 2.0 * max(alpha, 0.0) ** (1.0 / 3.0)
-    f_prev = bessel_j(alpha, t_prev)
-    t = t_prev
-    while t < limit:
-        t += step
-        f = bessel_j(alpha, t)
-        if f_prev > 0 >= f:
-            # brentq(..., xtol=1e-13) at its compiled entry point,
-            # scipy.optimize._zeros._brentq, with brentq's defaults rtol = 4 eps
-            # and maxiter 100; brentq only adds a NaN guard, and j_alpha is
-            # finite on this bracket
-            return float(_zeros._brentq(lambda x: bessel_j(alpha, x), t_prev, t, 1e-13,
-                                        4 * np.finfo(float).eps, 100, (), False, True))
-        t_prev, f_prev = t, f
-    raise RuntimeError(f"no sign change found for alpha = {alpha}")
+    ts = np.add.accumulate(np.full(int(limit / step) + 3, step))
+    ts = ts[:np.searchsorted(ts, limit) + 1]
+    f = bessel_j(alpha, ts)
+    change = np.flatnonzero((f[:-1] > 0) & (f[1:] <= 0))
+    if change.size == 0:
+        raise RuntimeError(f"no sign change found for alpha = {alpha}")
+    i = int(change[0])
+    # brentq(..., xtol=1e-13) at its compiled entry point,
+    # scipy.optimize._zeros._brentq, with brentq's defaults rtol = 4 eps
+    # and maxiter 100; brentq only adds a NaN guard, and j_alpha is
+    # finite on this bracket
+    return float(_zeros._brentq(lambda x: bessel_j(alpha, x), float(ts[i]), float(ts[i + 1]),
+                                1e-13, 4 * np.finfo(float).eps, 100, (), False, True))
 
 
 def bessel_j_deriv(alpha: float, t):
@@ -639,12 +678,19 @@ def hankel_grid(profile: Callable, alpha: float, s_values,
     for nodes, _ in node_sets:
         fv = np.asarray(profile(nodes), dtype=np.float64) - tail.eval(nodes)
         f_vals.append(fv * nodes ** (2.0 * alpha + 1.0))
+    # both node sets in ascending order, so that s * merged is sorted for
+    # bessel_j, and where each set's nodes sit in it
+    both = np.concatenate([nodes for nodes, _ in node_sets])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    where = np.split(where, [node_sets[0][0].size])
 
     for i, s in enumerate(s_values):
-        pair = []
-        for (nodes, weights), fv in zip(node_sets, f_vals):
-            kernel = np.atleast_1d(bessel_j(alpha, s * nodes))
-            pair.append(float(weights @ (fv * kernel)))
+        kernel = bessel_j(alpha, s * merged)
+        pair = [float(weights @ (fv * kernel[at]))
+                for (_, weights), fv, at in zip(node_sets, f_vals, where)]
         err = abs(pair[1] - pair[0])
         results[i] = norm * (pair[1] + tail_vals[i])
         errors[i] = norm * err

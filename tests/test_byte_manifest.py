@@ -81,6 +81,8 @@ ARGVS = [
     ["radial", "yudin", "--d", "7", "--t-max", "300", "--step", "0.37"],  # floats like 1e-05
     ["radial", "ball-transform", "--d", "5", "--t-max", "0", "--step", "1"],  # one point
     ["radial", "hankel", "--d", "10"],  # exit 3
+    # the Hankel tables the benchmark's radial-tables workload times
+    *[["radial", "hankel", "--d", d, "--s-max", "3", "--step", "0.05"] for d in ("1", "2", "3")],
     # s * TAIL_START < 1: the geometric panels of the constant-term tail integral
     ["radial", "hankel", "--d", "2", "--s-max", "0.1", "--step", "0.01"],
     ["trinomial", "optimize"],

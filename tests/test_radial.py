@@ -222,26 +222,91 @@ def test_jv_never_called_from_x0_on(monkeypatch):
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5, 5.0, 31.0])
 def test_a_point_gets_its_bits_whatever_the_other_points(alpha):
-    # a call inside one interval runs its kernel on the whole array, a call
-    # across intervals splits by masks; both give each point the bits of a
-    # call on that point alone
+    # a call inside one interval runs its kernel on the whole array, a sorted
+    # call across intervals runs each kernel on a slice, and any other call is
+    # sorted first; each gives every point the bits of a call on that point alone
     starts = radial._j_intervals(alpha)[0]
     expansion = radial._hankel_expansion(alpha)
     assert starts[:2] == (0.0, 1e-6)
     assert (radial._J0_FROM in starts) == (alpha == 0.0)
-    assert (starts[-1] == expansion[0]) == (alpha not in (-0.5, 0.5))
+    if alpha in (-0.5, 0.5):
+        assert len(starts) == 2
+    else:
+        # Hankel's stages: X0 starts the first, the starts increase strictly,
+        # and each stage keeps ceil(n / 2) of the n pairs before it, down to 1
+        stages = expansion[5]
+        assert stages[0] == (expansion[0], len(expansion[1]))
+        assert starts[-len(stages):] == tuple(start for start, _ in stages)
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        assert [n for _, n in stages[1:]] == [(n + 1) // 2 for _, n in stages[:-1]]
+        assert stages[-1][1] == 1
     rng = np.random.default_rng(30)
     edges = [*starts, 2.0 * starts[-1] + 10.0]
     inside = [np.concatenate([[lo, lo], rng.uniform(lo, hi, 300), [lo]])
               for lo, hi in zip(edges, edges[1:])]
-    spanning = rng.permutation(np.concatenate(inside))
-    for t in [*inside, spanning, spanning[:300].reshape(20, 15)]:
+    ordered = np.sort(np.concatenate(inside))
+    spanning = rng.permutation(ordered)
+    for t in [*inside, ordered, spanning, spanning[:300].reshape(20, 15)]:
         want = np.array([bessel_j(alpha, x) for x in t.ravel()]).reshape(t.shape)
         assert np.array_equal(bessel_j(alpha, t).view(np.int64), want.view(np.int64))
     assert bessel_j(alpha, np.empty(0)).shape == (0,)
     assert bessel_j(alpha, np.empty((0, 3))).shape == (0, 3)
     zero_d = bessel_j(alpha, np.array(starts[-1]))
     assert type(zero_d) is float and zero_d == bessel_j(alpha, [starts[-1]])[0]
+
+
+def test_hankel_stages_halve_at_every_order_the_commands_use():
+    # j_(d/2-1), j_(d/2) and j_(d/2+1) for d = 1..64: every stage start lies
+    # beyond the one before, and each stage keeps ceil(n / 2) of n pairs
+    for alpha in sorted({d / 2 + k for d in range(1, 65) for k in (-1, 0, 1)} - {-0.5, 0.5}):
+        stages = radial._hankel_expansion(alpha)[5]
+        assert all(a < b for (a, _), (b, _) in zip(stages, stages[1:])), alpha
+        assert [n for _, n in stages[1:]] == [(n + 1) // 2 for _, n in stages[:-1]], alpha
+        assert stages[-1][1] == 1, alpha
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 5.0, 31.0])
+def test_each_hankel_stage_no_worse_than_all_pairs(alpha):
+    # 400 points on each stage's interval, up to t = 1e4: the stage's worst
+    # error against mpmath, in units of the envelope A t^(-alpha-1/2), is at
+    # most that of the expansion with all n0 pairs on the same points plus one
+    # ulp of the envelope
+    expansion = radial._hankel_expansion(alpha)
+    stages = expansion[5]
+    ends = [start for start, _ in stages[1:]] + [math.inf]
+    amp = radial._asym_constants(alpha)[0]
+    checked = 0
+    for (lo, pairs), hi in zip(stages, ends):
+        if lo >= 1e4:
+            break
+        t = np.linspace(lo, min(hi, 1e4), 401)[:-1]
+        want = np.array([j_mpmath(alpha, x) for x in t])
+        envelope = amp * t ** (-alpha - 0.5)
+        stage = radial._hankel_j(alpha, t, expansion, pairs)
+        assert np.array_equal(stage, bessel_j(alpha, t))
+        full = radial._hankel_j(alpha, t, expansion, len(expansion[1]))
+        worst = np.max(np.abs(stage - want) / envelope)
+        assert worst <= np.max(np.abs(full - want) / envelope) + 2.0**-52, (lo, pairs)
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 5.0, 31.0])
+def test_first_zero_is_the_scalar_scan_bit_for_bit(alpha):
+    # the scan t += 0.1 one point a call, then brentq on its first sign change
+    step = 0.1
+    t_prev = step
+    limit = alpha + 20.0 + 2.0 * max(alpha, 0.0) ** (1.0 / 3.0)
+    f_prev = bessel_j(alpha, t_prev)
+    t = t_prev
+    while t < limit:
+        t += step
+        f = bessel_j(alpha, t)
+        if f_prev > 0 >= f:
+            break
+        t_prev, f_prev = t, f
+    want = brentq(lambda x: bessel_j(alpha, x), t_prev, t, xtol=1e-13)
+    assert bessel_first_zero.__wrapped__(alpha) == want
 
 
 # bands of t below X0 (18.40 at order 0, 18.42 at order 1)

@@ -11,6 +11,7 @@ from pdextremal.trinomial import (
     Trinomial,
     _golden_max,
     _objective,
+    _objective_grid,
     construction_spectrum,
     critical_coeffs,
     example51_comparison,
@@ -170,6 +171,17 @@ def test_golden_max_is_scipy_golden_bit_for_bit(f, bracket):
     expected = minimize_scalar(lambda x: -f(x), bracket=bracket, method="golden",
                                options={"xtol": 1e-12}).x
     assert _golden_max(f, bracket, xtol=1e-12) == expected
+
+
+def test_objective_grid_is_the_scalar_scan():
+    # the scan optimize_trinomial seeds from: same argmax as one _objective call
+    # per point, every value within one ulp of it, no NaN at z = 0
+    zs = np.linspace(0.0, Z_MAX, 2001)
+    want = np.array([_objective(z) for z in zs])
+    got = _objective_grid(zs)
+    assert int(np.argmax(got)) == int(np.argmax(want))
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    assert got[0] == critical_coeffs(0.0).value_at_zero()
 
 
 def test_optimum_keeps_its_bits():
