@@ -31,7 +31,7 @@ from .extremal import (
 )
 from .fuzz import SUITES
 from .groups import Group, SymSet
-from .lp import QuadratureError, SolverFailure
+from .lp import SolverFailure
 
 TOLERANCES = {
     "value": 1e-8,
@@ -276,29 +276,27 @@ def _cmd_radial(args) -> int:
 
 
 def _cmd_trinomial(args) -> int:
-    from .trinomial import example51_comparison, example51_lower_bound, optimize_trinomial
+    from .trinomial import (ConstructionError, example51_comparison, example51_lower_bound,
+                            optimize_trinomial)
 
+    try:  # mapped here, so that main need not import trinomial
+        result = optimize_trinomial() if args.action == "optimize" else example51_lower_bound()
+    except ConstructionError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 2
     if args.action == "optimize":
-        opt = optimize_trinomial()
         _emit("trinomial optimize", {
-            "z": opt["z_star"], "value": opt["value"], "coeffs": opt["coeffs"],
-            "nonneg_check": opt["nonneg_check"],
+            "z": result["z_star"], "value": result["value"], "coeffs": result["coeffs"],
+            "nonneg_check": result["nonneg_check"],
         })
         return 0
-    bound = example51_lower_bound()
     if args.csv:
-        _emit_csv(["x", "phi"], zip(bound["grid"], bound["profile"]))
+        _emit_csv(["x", "phi"], zip(result["grid"], result["profile"]))
         return 0
-    comparison = example51_comparison(bound)
-    result = {
-        "bound": bound["bound"],
-        "coeffs": bound["coeffs"],
-        "z_star": bound["z_star"],
-        "checks": bound["checks"],
-        "comparison": comparison,
-    }
-    _emit("trinomial example51", result)
-    return 0 if comparison["pass"] else 2
+    report = {key: result[key] for key in ("bound", "coeffs", "z_star", "checks")}
+    report["comparison"] = example51_comparison(result)
+    _emit("trinomial example51", report)
+    return 0 if report["comparison"]["pass"] else 2
 
 
 def _is_int(v) -> bool:
@@ -423,7 +421,7 @@ def main(argv=None) -> int:
     except (NotAStrictTiling, ConditionViolated) as exc:
         print(f"verification precondition failed: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, QuadratureError, OverflowError) as exc:
+    except (SolverFailure, ArithmeticError) as exc:  # radial's QuadratureError, and overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -93,8 +93,8 @@ def _run_suite(name: str, count: int, seed: int, max_n: int, smallest: int, case
     Each case returns its instance row with a "pass" flag.  The suite's groups
     have between smallest and max_n ** factors elements.
     """
-    if not 0 <= count <= MAX_COUNT:
-        raise ValueError(f"instance count (--fuzz) must be from 0 to {MAX_COUNT}, got {count}")
+    if not 1 <= count <= MAX_COUNT:  # a run of no instance would pass vacuously
+        raise ValueError(f"instance count (--fuzz) must be from 1 to {MAX_COUNT}, got {count}")
     if not 0 <= seed <= _MASK64:  # SplitMix64 would read it modulo 2^64
         raise ValueError(f"seed (--seed) must be from 0 to {_MASK64}, got {seed}")
     if max_n < smallest:
@@ -161,7 +161,7 @@ def _main_case(rng: SplitMix64, max_n: int) -> dict:
 def run_main_suite(count: int, seed: int, max_n: int = 40) -> dict:
     """D(Omega+) <= 1/#Lambda.  The suite passes only when no instance fails and
     at least one is tight (D = 1/#Lambda within VALUE_TOL, so the bound is seen
-    to be sharp): a run without a tight instance, such as count 0, fails."""
+    to be sharp): a run without a tight instance fails."""
     report = _run_suite("main", count, seed, max_n, 4, _main_case)
     tight = sum(inst["tight"] for inst in report["instances"])
     report["tight_instances"] = tight

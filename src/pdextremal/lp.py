@@ -1,20 +1,21 @@
 """Dense LPs solved by HiGHS, accepted only behind our own certificate check.
 
-Maximizes c @ x subject to row bounds row_lower <= a @ x <= row_upper and
-variable bounds lower <= x <= upper, the form HiGHS takes itself: an infinite
-bound is absent and equal bounds make an equality row.  The extremal LPs
-state the paper's support conditions this way, f <= 0 off Omega+ as an upper
-bound 0 and f >= 0 off Omega- as a lower bound 0.  Every LP is solved by the
-serial dual simplex of HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018)
-that ships inside scipy, single-threaded with a fixed seed so results are
-deterministic, and without presolve: the extremal LPs have a few to a few
-hundred rows (median 5 and at most 25 in the verify suites, 66-127 in the
-benchmark's large constants), and at those sizes presolve costs more than it
-saves.  Replaying the LPs of four benchmark argv lists on a 2-CPU Intel Xeon
-VM (best of 3), ``solve`` took 0.50 s with presolve and 0.40 s without on
-the 44 large constants, with the same 7,246 pivots and bit-identical
-answers, and 1.33 s against 0.92 s on 4,520 verify LPs, with objectives
-within 3.6e-15.  There is one HiGHS object per process: its options are set
+Maximizes c @ x subject to x >= 0 and row bounds row_lower <= a @ x <=
+row_upper, where an infinite bound is absent and equal bounds make an
+equality row.  This is the one LP the package solves: the variables are the
+spectrum of f on a finite group, which is nonnegative exactly when f is
+positive definite, and the paper's support conditions bound the rows, f <= 0
+off Omega+ as an upper bound 0 and f >= 0 off Omega- as a lower bound 0.
+Every LP is solved by the serial dual simplex of HiGHS (Huangfu and Hall,
+Math. Prog. Comp. 10, 2018) that ships inside scipy, single-threaded with a
+fixed seed so results are deterministic, and without presolve: the extremal
+LPs have a few to a few hundred rows (median 5 and at most 25 in the verify
+suites, 66-127 in the benchmark's large constants), and at those sizes
+presolve costs more than it saves.  Replaying the LPs of four benchmark
+argv lists on a 2-CPU Intel Xeon VM (best of 3), ``solve`` took 0.50 s with
+presolve and 0.40 s without on the 44 large constants, with the same 7,246
+pivots and bit-identical answers, and 1.33 s against 0.92 s on 4,520 verify
+LPs, with objectives within 3.6e-15.  There is one HiGHS object per process: its options are set
 once, at the first ``solve``, and each LP replaces the model on it; the
 options of ``solve``'s two retries are restored before it returns.
 ``solve`` returns a certified optimum or raises ``SolverFailure``: HiGHS's
@@ -26,17 +27,17 @@ mass f = 1_{0} is positive definite with f(0) = 1, so it is admissible
 whenever 0 is in Omega+ (``extremal._solve`` answers 0 before building an LP
 otherwise), and f(0) = 1 bounds the Haar integral of every admissible f.
 
-Where the time of a small LP goes, measured on the 2,463 LPs of two
-verify-many argv lists (median 5 rows x 8 columns), replayed in one process
-on a 2-CPU Intel Xeon VM.  HiGHS's own run (best of 7 per LP) takes 45 us at
+Where the time of a small LP goes, measured on the LPs of two verify-many
+argv lists (median 5 rows x 8 columns), replayed in one process on a 2-CPU
+Intel Xeon VM.  HiGHS's own run (best of 7 per LP, 2,463 LPs) takes 45 us at
 the least and 81 us at the median: that floor is HiGHS's.  The Python around
-it (medians of 9 interleaved repeats, before and after the bounds became one
-stacked pair checked with few numpy calls): ``LpProblem`` 24.7 -> 20.3 us,
-``_pass_model`` 17.4 -> 16.8 us (~13 us of it inside HiGHS's clearModel and
-passModel), ``check_certificate`` 42.5 -> 30.0 us; an ``LpProblem`` with its
-``solve``, 228 -> 192 us.  What remains is numpy's fixed cost per call on
-arrays of a few dozen entries (~0.4 us a ufunc, ~1 us a reduction), not
-arithmetic.
+it, on the 1,997 LPs these lists build (medians of 9 interleaved repeats,
+before and after x >= 0 became the only variable bound): ``LpProblem`` 14.0
+-> 10.9 us, ``_pass_model`` 12.6 -> 13.0 us (most of it inside HiGHS's
+clearModel and passModel), ``check_certificate`` 26.4 -> 22.4 us; an
+``LpProblem`` with its ``solve``, 162 -> 155 us.  What remains is numpy's
+fixed cost per call on arrays of a few dozen entries (~0.4 us a ufunc, ~1 us
+a reduction), not arithmetic.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class SolverFailure(RuntimeError):
     """HiGHS ended without an optimum, or its answer failed the certificate check."""
 
 
-class QuadratureError(RuntimeError):
-    """Successive quadrature refinements failed to agree within tolerance."""
-
-
 # HiGHS reads a bound or cost of 1e20 or more in magnitude as infinite
 # (infinite_bound, infinite_cost) and refuses a matrix entry of 1e15 or more
 # (large_matrix_value); LpProblem refuses all of them
@@ -99,40 +96,33 @@ def _below(values: np.ndarray, limit: float, name: str) -> None:
 
 
 class LpProblem:
-    """max c @ x subject to row_lower <= a @ x <= row_upper and lower <= x <= upper.
+    """max c @ x subject to x >= 0 and row_lower <= a @ x <= row_upper.
 
-    The bounds are kept as one stacked pair, ``lo = [row_lower, lower]`` and
-    ``hi = [row_upper, upper]``: the rows of one read-only array ``bounds``,
-    checked in one pass and priced in this order by ``check_certificate``.
-    ``lower`` defaults to 0 and ``upper`` to inf; the first ``nrows`` entries
-    of ``lo`` and ``hi`` bound the rows and the other ``nvars`` the variables.
+    The row bounds are kept as one read-only (2, nrows) array ``bounds``,
+    whose rows ``lo`` and ``hi`` are checked in one pass.
     """
 
-    def __init__(self, c, a, row_lower, row_upper, lower=None, upper=None):
+    def __init__(self, c, a, row_lower, row_upper):
         self.c = c = np.asarray(c, dtype=np.float64)
         n = c.shape[0]
         if not n:
             raise ValueError("an LP needs at least one variable")
         self.a = np.asarray(a, dtype=np.float64).reshape(-1, n)
         m = self.a.shape[0]
-        parts = [np.asarray(b, dtype=np.float64) for b in (
-            row_lower, row_upper, np.zeros(n) if lower is None else lower,
-            np.full(n, np.inf) if upper is None else upper)]
-        for what, size, low, high in (("row", m, *parts[:2]), ("variable", n, *parts[2:])):
-            if low.shape != (size,) or high.shape != (size,):
-                raise ValueError(f"{what} bounds have shapes {low.shape} and {high.shape}, "
-                                 f"expected ({size},)")
-        self.bounds = bounds = np.empty((2, m + n))
-        bounds[0, :m], bounds[1, :m], bounds[0, m:], bounds[1, m:] = parts
+        low, high = (np.asarray(b, dtype=np.float64) for b in (row_lower, row_upper))
+        if low.shape != (m,) or high.shape != (m,):
+            raise ValueError(f"row bounds have shapes {low.shape} and {high.shape}, "
+                             f"expected ({m},)")
+        self.bounds = bounds = np.empty((2, m))
+        bounds[0], bounds[1] = low, high
         bounds.flags.writeable = False
         self.lo, self.hi = lo, hi = bounds[0], bounds[1]
         # NaN fails every comparison; lower may be -inf and upper inf, nothing else huge
         finite = (np.abs(bounds) < _HIGHS_INF) | (bounds == _OPEN)
         ok = (lo <= hi) & finite[0] & finite[1]
         if np.count_nonzero(ok) < ok.size:
-            i = int(np.argmin(ok))  # the first bound pair that fails
-            what, j = ("row", i) if i < m else ("variable", i - m)
-            raise ValueError(f"{what} {j} has bounds [{lo[i]}, {hi[i]}]: need lower <= upper, "
+            i = int(np.argmin(ok))  # the first row that fails
+            raise ValueError(f"row {i} has bounds [{lo[i]}, {hi[i]}]: need lower <= upper, "
                              "no NaN, lower < inf, upper > -inf, and each finite bound below "
                              f"{_HIGHS_INF:g} in magnitude")
         _below(self.a, _MAX_ENTRY, "a")
@@ -162,34 +152,30 @@ def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple
     """Check that x and row duals y prove each other optimal.
 
     Row duals follow the maximization convention: y_i > 0 prices row i at
-    its upper bound and y_i < 0 at its lower bound, and the reduced costs
-    c - a^T y price the variable bounds the same way.  Where the bound a
-    price pushes toward is infinite, the price is a violation of its size and
-    is paid at the other bound instead, or at 0 if both are infinite.  Returns
-    (max_violation, dual_objective); raises SolverFailure naming every check
-    that fails.
+    its upper bound and y_i < 0 at its lower bound.  Where that bound is
+    infinite, the price is a violation of its size and is paid at the other
+    bound instead, or at 0 if both are infinite.  A reduced cost c - a^T y
+    prices x >= 0: a positive one has no upper bound to be paid at and is a
+    violation of its size, and the bound 0 adds nothing to the dual
+    objective.  Returns (max_violation, dual_objective); raises
+    SolverFailure naming every check that fails.
     """
-    p, m = problem, problem.nrows
-    lo, hi = p.lo, p.hi
+    p = problem
     most = np.maximum.reduce  # np.max without its Python-level wrapper
-    ax = np.concatenate((p.a @ x, x))  # what lo and hi bound: the rows, then the columns
-    residual = float(most(np.concatenate((ax - hi, lo - ax)), initial=0.0))  # NaN propagates
-    # rows then columns: the row duals and the reduced costs on their bounds
-    v = np.concatenate((y, p.c - p.a.T @ y))
-    up = v > 0
-    pair = np.where(up, p.bounds[::-1], p.bounds)  # hi where up, else lo; and the other
-    toward, other = pair[0], pair[1]
+    ax = p.a @ x
+    residual = float(most(np.concatenate((ax - p.hi, p.lo - ax, -x)), initial=0.0))  # NaN too
+    up = y > 0
+    toward, other = np.where(up, p.bounds[::-1], p.bounds)  # hi where up, else lo; the other
     open_ = np.isinf(toward)
     at = np.where(open_, np.where(np.isinf(other), 0.0, other), toward)
-    off = np.where(open_, np.abs(v), 0.0)
-    sign_error = float(most(off[:m], initial=0.0))
-    dual_infeasibility = float(most(off[m:], initial=0.0))
-    dual_objective = float(v[:m] @ at[:m]) + float(v[m:] @ at[m:])
+    sign_error = float(most(np.where(open_, np.abs(y), 0.0), initial=0.0))
+    dual_infeasibility = float(most(p.c - p.a.T @ y, initial=0.0))
+    dual_objective = float(y @ at)
     objective = float(p.c @ x)
     gap = abs(objective - dual_objective)
 
-    row_bounds = np.abs(p.bounds[:, :m])
-    scale = float(most(row_bounds, axis=None, where=row_bounds < np.inf, initial=0.0))
+    bounds = np.abs(p.bounds)
+    scale = float(most(bounds, axis=None, where=bounds < np.inf, initial=0.0))
     dual_tol = CERTIFICATE_TOL * (1.0 + float(most(np.abs(p.c), initial=0.0)))
     checks = (
         ("residual", residual, CERTIFICATE_TOL * (1.0 + scale)),
@@ -204,14 +190,15 @@ def check_certificate(problem: LpProblem, x: np.ndarray, y: np.ndarray) -> tuple
 
 
 def _pass_model(h, p: LpProblem) -> None:
-    """Replace the model on h with p, passed as arrays: the dense matrix row by
-    row, the costs negated (HiGHS minimizes) and every column continuous."""
+    """Replace the model on h with p, passed as arrays: every column continuous
+    in [0, inf), the costs negated (HiGHS minimizes), the row bounds and the
+    dense matrix row by row."""
     m, n = p.nrows, p.nvars
     # the dense pattern: row i starts at entry i * n, and entry k lies in column k % n
     starts = np.arange(0, m * n, n, dtype=np.int32)
     h.clearModel()  # a model HiGHS rejects is not passed: the run then ends "Not Set"
-    h.passModel(n, m, m * n, _ROWWISE, _MINIMIZE, 0.0, -p.c, p.lo[m:], p.hi[m:], p.lo[:m],
-                p.hi[:m], starts, np.arange(m * n, dtype=np.int32) % n, p.a.ravel(),
+    h.passModel(n, m, m * n, _ROWWISE, _MINIMIZE, 0.0, -p.c, np.zeros(n), np.full(n, np.inf),
+                p.lo, p.hi, starts, np.arange(m * n, dtype=np.int32) % n, p.a.ravel(),
                 np.zeros(n, dtype=np.int32))
 
 

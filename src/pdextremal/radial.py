@@ -34,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from ._scipy import extension
-from .lp import QuadratureError
 
 # brentq, and jv, j0 and j1, compiled, without scipy's, scipy.optimize's or
 # scipy.special's __init__.py; on a 2-CPU Xeon VM the order-specific j0 and
@@ -44,6 +43,11 @@ _bessel = extension("scipy.special._special_ufuncs")
 jv, j0, j1 = _bessel.jv, _bessel.j0, _bessel.j1
 
 TWO_PI = 2.0 * math.pi
+
+
+class QuadratureError(ArithmeticError):  # as OverflowError is: cli catches both
+    """Successive quadrature refinements failed to agree within tolerance."""
+
 
 # Fixed quadrature settings; no caller chooses any of them.
 GL_ORDER = 16         # Gauss-Legendre nodes per panel; the refinement check adds 8
@@ -260,7 +264,9 @@ def _hankel_j(alpha: float, t: np.ndarray, expansion, pairs: int) -> np.ndarray:
     """
     _, p_coef, q_coef, a_cos, a_sin, _ = expansion
     p_coef, q_coef = p_coef[-pairs:], q_coef[-pairs:]
-    x = 1.0 / (t * t)
+    # one pair needs no power of 1/t^2, and the last stage has one pair (from
+    # at most 1e11 on, for d <= 64): t * t would overflow from t = 1.3e154
+    x = 1.0 / (t * t) if pairs > 1 else None
     p = np.full_like(t, p_coef[0])
     for c in p_coef[1:]:
         p *= x
@@ -329,7 +335,8 @@ def yudin_Y(d: int, t) -> np.ndarray | float:
     out = np.empty_like(t_arr)
     near = np.abs(t_arr - q) < 1e-4 * q
     far = ~near
-    out[far] = bessel_j(alpha, t_arr[far])**2 / (1.0 - (t_arr[far] / q) ** 2)
+    with np.errstate(over="ignore"):  # (t / q)^2 is inf from t = 1.3e154 q, and Y_d is -0.0
+        out[far] = bessel_j(alpha, t_arr[far])**2 / (1.0 - (t_arr[far] / q) ** 2)
     if np.any(near):
         slope = bessel_j_deriv(alpha, q)
         out[near] = -(q**2) * slope**2 * (t_arr[near] - q) / (t_arr[near] + q)

@@ -139,7 +139,7 @@ def optimize_trinomial() -> dict:
     coeffs = critical_coeffs(z_star)
     check = is_nonneg(coeffs)
     if not check["pass"]:
-        raise AssertionError(
+        raise ConstructionError(
             f"optimizer produced a trinomial with minimum {check['min_value']:.3e} < -1e-9"
         )
     return {"z_star": z_star, "value": coeffs.value_at_zero(), "coeffs": coeffs,

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -387,6 +388,30 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
     assert cli.main(["radial", "hankel", "--d", "1", "--s-max", "1", "--step", "0.5"]) == 3
 
 
+@pytest.mark.parametrize("table", ["yudin", "ball-transform"])
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
+def test_table_out_to_1e300_warns_nothing(capsys, table, d):
+    # t * t and (t / q)^2 overflow from t = 1.3e154 on; every value is still
+    # finite, and tier-1 turns a RuntimeWarning into an error
+    code = cli.main(["radial", table, "--d", str(d), "--t-max", "1e300", "--step", "1e299"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = json.loads(captured.out)["result"]["table"]
+    assert len(rows) == 11 and all(math.isfinite(v) for _, v in rows)
+
+
+@pytest.mark.parametrize("action", ["optimize", "example51"])
+def test_failed_trinomial_construction_exits_two(capsys, monkeypatch, action):
+    import pdextremal.trinomial as trinomial
+
+    monkeypatch.setattr(trinomial, "is_nonneg", lambda tri: {"pass": False, "min_value": -1.0})
+    code = cli.main(["trinomial", action])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("verification failed: optimizer produced a trinomial with minimum "
+                            "-1.000e+00 < -1e-9\n")
+
+
 @pytest.mark.parametrize("s_max", ["1e100", "1e160", "1e300"])
 def test_overflow_exits_three_without_traceback(capsys, s_max):
     # the tail model's t**rho overflows a float at these grid points
@@ -700,8 +725,11 @@ def test_radial_table_prints_the_bytes_of_its_pairs(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "main", "--fuzz", "100000000000000000000"],
-     "instance count (--fuzz) must be from 0 to 100000, got 100000000000000000000"),
-    (["verify", "ineq", "--fuzz", "-5"], "instance count (--fuzz) must be from 0 to 100000, got -5"),
+     "instance count (--fuzz) must be from 1 to 100000, got 100000000000000000000"),
+    (["verify", "ineq", "--fuzz", "-5"], "instance count (--fuzz) must be from 1 to 100000, got -5"),
+    # a run of no instance checks nothing, in every suite
+    *[(["verify", suite, "--fuzz", "0"], "instance count (--fuzz) must be from 1 to 100000, got 0")
+      for suite in sorted(cli.SUITES)],
 ])
 def test_verify_limits_instance_count(capsys, argv, message):
     assert_usage_error(capsys, argv, message)

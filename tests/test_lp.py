@@ -8,20 +8,18 @@ from pdextremal.groups import SymSet, make_group
 from pdextremal.lp import LpProblem, SolverFailure, check_certificate, solve
 
 
-def box(c, a, b, senses, lower=None, upper=None):
-    """The LP with rows a @ x <sense> b, as row bounds."""
+def box(c, a, b, senses):
+    """The LP with x >= 0 and rows a @ x <sense> b, as row bounds."""
     b, senses = np.asarray(b, float), np.asarray(senses)
     return LpProblem(np.asarray(c, float), np.asarray(a, float),
-                     np.where(senses == "<=", -np.inf, b), np.where(senses == ">=", np.inf, b),
-                     lower, upper)
+                     np.where(senses == "<=", -np.inf, b), np.where(senses == ">=", np.inf, b))
 
 
 def _linprog(p):
     """scipy's linprog on p: a row with equal bounds is an equality, and each
-    finite bound of another row an inequality, in row order."""
+    finite bound of another row an inequality, in row order; x >= 0."""
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    m = p.nrows
-    for row, lo, hi in zip(p.a, p.lo[:m], p.hi[:m]):
+    for row, lo, hi in zip(p.a, p.lo, p.hi):
         if lo == hi:
             a_eq.append(row)
             b_eq.append(lo)
@@ -38,15 +36,14 @@ def _linprog(p):
         b_ub=np.asarray(b_ub) if b_ub else None,
         A_eq=np.asarray(a_eq) if a_eq else None,
         b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=list(zip(p.lo[m:], p.hi[m:])),
+        bounds=(0, None),
         method="highs",
     )
 
 
 def _rhs_scale(p):
     """The largest finite row bound in absolute value."""
-    bounds = p.bounds[:, :p.nrows]
-    return np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0)
+    return np.max(np.abs(p.bounds[np.isfinite(p.bounds)]), initial=0.0)
 
 
 def test_box_maximum():
@@ -64,7 +61,8 @@ def test_box_maximum():
     (box([1], [[1]], [-1], ["<="]), "Infeasible"),  # x <= -1, x >= 0
     (box([1], np.zeros((0, 1)), np.zeros(0), []), "Unbounded"),  # no row
     (box([1], [[1]], [2], [">="]), "Unbounded"),
-    (box([1], [[2], [0]], [-2, -1], [">=", "="], lower=[-np.inf], upper=[np.inf]), "Infeasible"),
+    # 2 x >= -2 and 0 = -1, for x = x+ - x- free
+    (box([1, -1], [[2, -2], [0, 0]], [-2, -1], [">=", "="]), "Infeasible"),
 ], ids=["infeasible_bounds", "unbounded_ray", "unbounded_where_presolve_is_ambiguous",
         "infeasible_where_presolve_is_ambiguous"])
 def test_infeasible_or_unbounded_lp_is_a_solver_failure(problem, status):
@@ -88,20 +86,20 @@ def test_model_highs_rejects_is_a_solver_failure():
 
 
 def test_equality_and_free_variables():
-    # maximize x - y subject to x + y = 3, x <= 2, y free
-    p = box([1, -1], [[1, 1], [1, 0]], [3, 2], ["=", "<="],
-            lower=[0, -np.inf], upper=[np.inf, np.inf])
+    # maximize x - y subject to x + y = 3, x <= 2, y free: y = y+ - y-, both >= 0
+    p = box([1, -1, 1], [[1, 1, -1], [1, 0, 0]], [3, 2], ["=", "<="])
     sol = solve(p)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(sol.x, [2, 1], atol=1e-9)
+    x, y_plus, y_minus = sol.x
+    assert np.allclose([x, y_plus - y_minus], [2, 1], atol=1e-9)
 
 
 def test_ge_rows_and_two_sided_bounds():
-    # maximize -x subject to x >= 2, 0 <= x <= 5
-    p = box([-1], [[1]], [2], [">="], lower=[0], upper=[5])
-    sol = solve(p)
-    assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
+    # maximize -x subject to x >= 2 and x <= 5 as rows, and as one two-sided row
+    for p in (box([-1], [[1], [1]], [2, 5], [">=", "<="]), LpProblem([-1], [[1]], [2], [5])):
+        sol = solve(p)
+        assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_dual_certificate_simple():
@@ -123,8 +121,9 @@ def test_determinism_same_bytes():
     a = rng.normal(size=(6, 4))
     b = rng.uniform(1, 3, size=6)
     c = rng.normal(size=4)
-    p1 = box(c, a, b, ["<="] * 6, upper=[10] * 4)
-    p2 = box(c.copy(), a.copy(), b.copy(), ["<="] * 6, upper=[10] * 4)
+    a, b = np.vstack([a, np.eye(4)]), np.concatenate([b, np.full(4, 10.0)])  # x <= 10
+    p1 = box(c, a, b, ["<="] * 10)
+    p2 = box(c.copy(), a.copy(), b.copy(), ["<="] * 10)
     s1 = solve(p1)
     s2 = solve(p2)
     assert s1.iterations > 0 and s2.iterations > 0
@@ -146,18 +145,14 @@ def _random_instance(rng):
         elif s == ">=":
             b[i] -= slack[i]
     c = rng.normal(size=n)
-    lower = np.zeros(n)
-    upper = np.full(n, 6.0)
     free = rng.random(n) < 0.25
-    lower[free] = -np.inf
-    upper[free] = np.inf
-    # keep the model bounded: cap free vars via rows
-    extra = np.eye(n)[free]
-    if extra.size:
-        a = np.vstack([a, extra, -extra])
-        b = np.concatenate([b, np.full(free.sum(), 8.0), np.full(free.sum(), 8.0)])
-        senses += ["<="] * (2 * free.sum())
-    return box(c, a, b, senses, lower, upper)
+    # rows x_j <= 6, and -8 <= x_j <= 8 for a free x_j, which keeps the model bounded
+    eye = np.eye(n)
+    a = np.vstack([a, eye[~free], eye[free], -eye[free]])
+    b = np.concatenate([b, np.full(n - free.sum(), 6.0), np.full(2 * free.sum(), 8.0)])
+    senses += ["<="] * (n + free.sum())
+    # a free x_j is x+ - x-: x+ keeps column j, and x- is a new column, its negation
+    return box(np.concatenate([c, -c[free]]), np.hstack([a, -a[:, free]]), b, senses)
 
 
 def test_random_instances_match_scipy():
@@ -197,9 +192,8 @@ def test_degenerate_problem_terminates():
 
 def _cases():
     yield box([1, 1], [[1, 0], [0, 1]], [1, 1], ["<=", "<="])
-    yield box([1, -1], [[1, 1], [1, 0]], [3, 2], ["=", "<="],
-              lower=[0, -np.inf], upper=[np.inf, np.inf])
-    yield box([-1], [[1]], [2], [">="], lower=[0], upper=[5])
+    yield box([1, -1, 1], [[1, 1, -1], [1, 0, 0]], [3, 2], ["=", "<="])
+    yield box([-1], [[1], [1]], [2, 5], [">=", "<="])
     yield box([1], [[1]], [1], ["<="])
     rng = np.random.default_rng(2024)
     for _ in range(20):
@@ -364,60 +358,48 @@ def _assert_options_as_set(h):
 INF = np.inf
 
 
-@pytest.mark.parametrize("rows, columns", [
-    (([np.nan], [1]), ([0], [INF])),  # NaN row bound
-    (([-INF], [np.nan]), ([0], [INF])),
-    (([2], [1]), ([0], [INF])),  # inverted row bounds
-    (([INF], [INF]), ([0], [INF])),  # row lower bound +inf
-    (([-INF], [-INF]), ([0], [INF])),  # row upper bound -inf
-    (([-INF], [1]), ([np.nan], [INF])),  # NaN variable bound
-    (([-INF], [1]), ([0], [np.nan])),
-    (([-INF], [1]), ([1], [0])),  # inverted variable bounds
-    (([-INF], [1]), ([INF], [INF])),  # variable lower bound +inf
-    (([-INF], [1]), ([-INF], [-INF])),  # variable upper bound -inf
-    (([-INF, -INF], [1]), ([0], [INF])),  # shapes differ
-    (([-INF], [1]), ([0, 0], [INF])),
+@pytest.mark.parametrize("rows", [
+    ([np.nan], [1]),  # NaN row bound
+    ([-INF], [np.nan]),
+    ([2], [1]),  # inverted row bounds
+    ([INF], [INF]),  # row lower bound +inf
+    ([-INF], [-INF]),  # row upper bound -inf
+    ([-INF, -INF], [1]),  # shapes differ
 ])
-def test_bounds_are_validated(rows, columns):
+def test_bounds_are_validated(rows):
     with pytest.raises(ValueError, match="bounds"):
-        LpProblem([1], [[1]], *rows, *columns)
+        LpProblem([1], [[1]], *rows)
 
 
 def test_bounds_are_read_only_views_of_the_stacked_pair():
-    p = LpProblem([1, 2], [[1, 0], [0, 1], [1, 1]], [-INF, 0, 1], [4, INF, 5], [-1, 0], [2, INF])
-    assert p.lo.tolist() == [-INF, 0, 1, -1, 0] and p.hi.tolist() == [4, INF, 5, 2, INF]
+    p = LpProblem([1, 2], [[1, 0], [0, 1], [1, 1]], [-INF, 0, 1], [4, INF, 5])
+    assert p.lo.tolist() == [-INF, 0, 1] and p.hi.tolist() == [4, INF, 5]
     assert np.array_equal(p.bounds, [p.lo, p.hi])
     for view in (p.bounds, p.lo, p.hi):
         assert np.shares_memory(view, p.bounds)
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 3.0
-    default = LpProblem([1], [[1]], [0], [1])
-    assert default.lo.tolist() == [0.0, 0.0] and default.hi.tolist() == [1.0, INF]
-    assert (default.nrows, default.nvars) == (1, 1)
+    assert (p.nrows, p.nvars) == (3, 2)
 
 
-@pytest.mark.parametrize("rows, columns, match", [
-    (([0, 2, 0], [1, 1, 1]), ([0, 0], [INF, INF]), r"^row 1 has bounds \[2\.0, 1\.0\]"),
-    (([0, 0, 0], [1, 1, np.nan]), ([0, 0], [INF, INF]), r"^row 2 has bounds \[0\.0, nan\]"),
-    (([0, 0, 0], [1, 1, 1]), ([0, INF], [INF, INF]), r"^variable 1 has bounds \[inf, inf\]"),
-    (([0, 0, 0], [1, 1, 1]), ([-1e20, 0], [INF, INF]), r"^variable 0 has bounds \[-1e\+20, inf\]"),
-    (([0, 0, 1e21], [1, 1, 1]), ([0, 0], [INF, -1]), r"^row 2 has bounds \[1e\+21, 1\.0\]"),
+@pytest.mark.parametrize("rows, match", [
+    (([0, 2, 0], [1, 1, 1]), r"^row 1 has bounds \[2\.0, 1\.0\]"),
+    (([0, 0, 0], [1, 1, np.nan]), r"^row 2 has bounds \[0\.0, nan\]"),
+    (([0, 0, 1e21], [1, 1, 1]), r"^row 2 has bounds \[1e\+21, 1\.0\]"),
 ])
-def test_a_bad_bound_names_its_row_or_variable(rows, columns, match):
+def test_a_bad_bound_names_its_row(rows, match):
     with pytest.raises(ValueError, match=match):
-        LpProblem([1, 1], np.ones((3, 2)), *rows, *columns)
+        LpProblem([1, 1], np.ones((3, 2)), *rows)
 
 
-@pytest.mark.parametrize("rows, columns", [
-    (([-INF], [1e25]), ([0], [INF])),  # HiGHS would answer this bounded LP "unbounded"
-    (([-1e20], [1]), ([0], [INF])),
-    (([-INF], [1]), ([0], [1e21])),
-    (([-INF], [1]), ([-1e20], [INF])),
+@pytest.mark.parametrize("rows", [
+    ([-INF], [1e25]),  # HiGHS would answer this bounded LP "unbounded"
+    ([-1e20], [1]),
 ])
-def test_bound_highs_reads_as_infinite_is_rejected(rows, columns):
+def test_bound_highs_reads_as_infinite_is_rejected(rows):
     # HiGHS's infinite_bound: a bound of 1e20 or more in magnitude is no bound
     with pytest.raises(ValueError, match=r"0 has bounds .* finite bound below 1e\+20"):
-        LpProblem([1], [[1]], *rows, *columns)
+        LpProblem([1], [[1]], *rows)
 
 
 @pytest.mark.parametrize("entry", [1e15, -1e15, 1e300, INF, np.nan])
@@ -437,7 +419,7 @@ def test_cost_highs_reads_as_infinite_is_rejected(cost):
 def test_bound_below_the_limit_keeps_its_finite_optimum():
     sol = solve(LpProblem([1], [[1]], [-INF], [1e19]))
     assert sol.status == "optimal" and sol.objective_value == 1e19
-    sol = solve(LpProblem([1], np.zeros((0, 1)), [], [], [0], [1e19]))
+    sol = solve(LpProblem([1], [[-1]], [-1e19], [INF]))  # -x >= -1e19
     assert sol.status == "optimal" and sol.objective_value == 1e19
     assert LpProblem([1e19], [[1e14]], [-INF], [1]).c[0] == 1e19
 
@@ -446,6 +428,15 @@ def test_nan_primal_fails_the_residual():
     p = box([1], [[1]], [1], ["<="])
     with pytest.raises(SolverFailure, match="residual nan"):
         check_certificate(p, np.array([np.nan]), np.array([1.0]))
+
+
+def test_negative_primal_fails_the_residual():
+    # maximize x1 + x2 subject to x1 + x2 <= 1: x = (1 + 1e-6, -1e-6) meets
+    # the row, and y = 1 prices it with no gap, but x2 breaks x >= 0
+    p = box([1, 1], [[1, 1]], [1], ["<="])
+    failed = r"^optimality certificate failed: residual 1\.000e-06$"
+    with pytest.raises(SolverFailure, match=failed):
+        check_certificate(p, np.array([1.0 + 1e-6, -1e-6]), np.array([1.0]))
 
 
 # The memo of certified answers lives in extremal._solve, above lp.solve: a

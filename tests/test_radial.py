@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -456,6 +460,25 @@ def test_hankel_rejects_unresolvable_integrand():
     # phase ~ u^3 oscillates far below any fixed panel resolution near T_MAX
     with pytest.raises(QuadratureError):
         hankel_grid(lambda u: np.sin(u**3), 0.0, [1.0], NO_TAIL)
+
+
+_RADIAL_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import pdextremal.radial
+print(json.dumps([m for m in ("pdextremal.lp", "scipy.optimize._highspy._core")
+                  if m in sys.modules]))
+"""
+
+
+def test_radial_loads_no_lp_and_no_highs():
+    # a fresh interpreter, so nothing an earlier test imported counts; cli
+    # maps QuadratureError to exit 3 as the ArithmeticError it is
+    src = os.path.dirname(os.path.dirname(radial.__file__))
+    done = subprocess.run([sys.executable, "-c", _RADIAL_IMPORT_PROBE, src],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
+    assert issubclass(radial.QuadratureError, ArithmeticError)
 
 
 def test_transforms_reject_nonpositive_dimension():
